@@ -14,7 +14,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::direction_workload;
 use rpq_core::ProductEngine;
-use rpq_core::{eval_product_pair_csr, eval_product_pair_forward_csr, eval_to, Query};
+use rpq_core::{eval_product_pair_csr, eval_product_pair_forward_csr, eval_to, EvalRequest, Query};
 use rpq_graph::CsrGraph;
 use rpq_optimizer::{Direction, PlannedEngine};
 
@@ -39,7 +39,9 @@ fn bench(c: &mut Criterion) {
             Direction::Backward,
             "planner must choose backward at fanout {fanout}: {plan:?}"
         );
-        let chosen = planned.eval_pair(&query, &graph, w.source, w.target);
+        let chosen = planned
+            .run_view(&query, &graph, &EvalRequest::pair(w.source, w.target))
+            .into_pair();
         let forced = eval_product_pair_forward_csr(query.nfa(), &graph, w.source, w.target);
         assert!(chosen.reachable && forced.reachable);
         assert!(
@@ -71,7 +73,8 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         planned
-                            .eval_pair(&query, &graph, w.source, w.target)
+                            .run_view(&query, &graph, &EvalRequest::pair(w.source, w.target))
+                            .into_pair()
                             .reachable,
                     )
                 })

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::incremental_workload;
-use rpq_core::{eval_product_csr, ProductEngine, Query};
+use rpq_core::{eval_product_csr, EvalRequest, ProductEngine, Query};
 use rpq_graph::{CsrGraph, DeltaGraph};
 use rpq_optimizer::PlannedEngine;
 
@@ -91,7 +91,9 @@ fn bench(c: &mut Criterion) {
         planned.plan(&query, &dg);
         assert_eq!(planned.plan_cache_misses(), 1);
         dg.apply_delta(&w.delta);
-        let res = planned.eval_view(&query, &dg, w.source);
+        let res = planned
+            .run_view(&query, &dg, &EvalRequest::source(w.source))
+            .into_eval_result();
         assert_eq!(
             (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
             (1, 0),

@@ -4,10 +4,11 @@
 //! mode (the CI bench smoke) enforces the acceptance criteria without
 //! paying measurement time:
 //!
-//! * **Admission cap is enforced** — with `max_concurrent = 2`, a third
-//!   outstanding submission is rejected synchronously with the observed
-//!   occupancy, the rejection is counted, and joining a handle frees its
-//!   slot so the next submission is admitted again.
+//! * **Admission cap is enforced** — with `max_concurrent = 2` and two
+//!   workers running, a third submission is rejected synchronously with
+//!   the observed occupancy, the rejection is counted, and joining a
+//!   handle (its worker has then finished) frees its slot so the next
+//!   submission is admitted again.
 //! * **Budgets terminate runaways soundly** — a query submitted under the
 //!   server's default fetch budget returns
 //!   [`rpq_core::Termination::BudgetExhausted`] with
@@ -34,15 +35,22 @@ use rpq_core::{EvalRequest, Query, Termination};
 use rpq_graph::CompactionPolicy;
 use rpq_server::{Catalog, QueryClass, Server, ServerConfig, SubmitError};
 
+/// Sources per held query in the admission check: a broad-closure search
+/// from the workload source, repeated this often, keeps a worker busy for
+/// about 0.1 s on a 2-vCPU VM — far longer than one submission takes.
+const BUSY_REPEATS: usize = 1024;
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t16_serving");
     group.sample_size(10);
     group.measurement_time(Duration::from_millis(900));
     group.warm_up_time(Duration::from_millis(200));
 
-    // Acceptance 1: the admission cap rejects the third outstanding
-    // handle and a join frees its slot deterministically (slots are held
-    // until the handle is joined or dropped, not until the worker ends).
+    // Acceptance 1: the admission cap rejects the third submission while
+    // two workers run, and a join frees its slot (the worker holds the slot
+    // until its evaluation ends, so each held query repeats its source
+    // enough times to outlast the third submission by orders of
+    // magnitude).
     {
         let w = incremental_workload(512, 16);
         let catalog = Arc::new(Catalog::from_instance(&w.instance));
@@ -53,12 +61,10 @@ fn bench(c: &mut Criterion) {
         });
         let query = Query::new(w.query.clone(), &w.alphabet);
         let session = server.session();
-        let h1 = session
-            .submit(&query, EvalRequest::source(w.source))
-            .expect("first slot");
-        let h2 = session
-            .submit(&query, EvalRequest::source(w.source))
-            .expect("second slot");
+        let broad = server.parse("(l0+l1+l2)*").expect("broad query parses");
+        let busy = || EvalRequest::sources(vec![w.source; BUSY_REPEATS]);
+        let h1 = session.submit(&broad, busy()).expect("first slot");
+        let h2 = session.submit(&broad, busy()).expect("second slot");
         match session.submit(&query, EvalRequest::source(w.source)) {
             Err(SubmitError::Rejected { active, cap }) => {
                 assert_eq!((active, cap), (2, 2), "rejection must report occupancy");

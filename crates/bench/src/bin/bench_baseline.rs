@@ -210,7 +210,10 @@ fn main() {
         let forced_edges = stats.edges_scanned;
 
         let (t, stats) = measure(repeats, || {
-            planned.eval_pair(&query, &graph, w.source, w.target).stats
+            planned
+                .run_view(&query, &graph, &EvalRequest::pair(w.source, w.target))
+                .into_pair()
+                .stats
         });
         t12_points.push(SeriesPoint {
             name: "pair_planned_backward",
@@ -277,7 +280,9 @@ fn main() {
         let planned = PlannedEngine::unconstrained(ProductEngine, w.alphabet.clone());
         planned.plan(&query, &dg);
         dg.apply_delta(&w.delta);
-        let res = planned.eval_view(&query, &dg, w.source);
+        let res = planned
+            .run_view(&query, &dg, &EvalRequest::source(w.source))
+            .into_eval_result();
         assert_eq!(
             (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
             (1, 0),
@@ -542,12 +547,19 @@ fn main() {
             edges_scanned: snap.edges_scanned,
         });
 
-        // Admission: with every slot held, the next submission rejects.
+        // Admission: with every slot held, the next submission rejects. A
+        // worker holds its slot until its evaluation ends, so each held
+        // query repeats a broad-closure search long enough (tens of ms) to
+        // outlast the remaining submissions.
         let session = server.session();
+        let broad = {
+            let mut ab = w.alphabet.clone();
+            Query::parse(&mut ab, "(l0+l1+l2)*").unwrap()
+        };
         let held: Vec<_> = (0..readers)
             .map(|_| {
                 session
-                    .submit(&query, EvalRequest::source(w.source))
+                    .submit(&broad, EvalRequest::sources(vec![w.source; 512]))
                     .expect("fills a slot")
             })
             .collect();
@@ -564,10 +576,6 @@ fn main() {
 
         // Budgets: a tiny explicit budget terminates the broad closure
         // early, never scanning past the budget.
-        let broad = {
-            let mut ab = w.alphabet.clone();
-            Query::parse(&mut ab, "(l0+l1+l2)*").unwrap()
-        };
         let resp = session
             .submit(&broad, EvalRequest::source(w.source).with_budget(8))
             .expect("under cap")

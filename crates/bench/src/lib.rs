@@ -509,6 +509,39 @@ mod tests {
     use super::*;
 
     #[test]
+    fn served_pairs_run_the_planned_direction() {
+        use rpq_core::{eval_product_pair_forward_csr, Direction, Query, SourceSpec};
+        use rpq_server::{Catalog, Server};
+        use std::sync::Arc;
+
+        let w = direction_workload(64);
+        let catalog = Arc::new(Catalog::from_instance(&w.instance));
+        let server = Server::new(catalog, w.alphabet.clone());
+        let session = server.session();
+        let resp = session
+            .submit_text(
+                "hot.hot.cold",
+                SourceSpec::Pair {
+                    source: w.source,
+                    target: w.target,
+                },
+            )
+            .unwrap()
+            .join();
+        assert_eq!(resp.reachable(), Some(true));
+        assert_eq!(resp.stats.plan_direction, Some(Direction::Backward));
+        let query = Query::new(w.query.clone(), &w.alphabet);
+        let graph = rpq_graph::CsrGraph::from(&w.instance);
+        let forced = eval_product_pair_forward_csr(query.nfa(), &graph, w.source, w.target);
+        assert!(
+            resp.stats.edges_scanned * 10 <= forced.stats.edges_scanned,
+            "served pair scanned {} edges, forced forward {}",
+            resp.stats.edges_scanned,
+            forced.stats.edges_scanned
+        );
+    }
+
+    #[test]
     fn workloads_are_deterministic() {
         let w1 = eval_workload(3, 50);
         let w2 = eval_workload(3, 50);

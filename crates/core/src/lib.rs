@@ -18,7 +18,8 @@
 //!   [`Engine::run`] dispatches an [`EvalRequest`] (any question shape —
 //!   single source, batch, target-bound, pair, N×M matrix — plus uniform
 //!   budget/cancellation controls) to an [`EvalResponse`]; the legacy
-//!   per-shape `Engine` methods are thin wrappers over it;
+//!   per-shape `Engine` methods are thin wrappers over it, and
+//!   [`Dispatch::run`] is the one mapping from a request to kernels;
 //! * [`batch`] — bit-parallel batched evaluation: the lane-partitioned
 //!   product BFS ([`eval_product_batch_csr`]), its union-mode shared
 //!   frontier ([`eval_product_batch_union_csr`]), and the batched
@@ -40,10 +41,9 @@
 //!   [`WorkerPool`];
 //! * [`pairset`] — *set-valued* pair answers: the (source, target) binding
 //!   sets a conjunctive-query atom induces between bound endpoint sets,
-//!   computed on the bit-parallel lane kernels with forward / backward /
-//!   both-bound strategies ([`eval_pairs_from_sources_csr_with`] and
-//!   friends) — the per-atom machinery `rpq-optimizer`'s join planner
-//!   composes;
+//!   with forward / backward / both-bound strategies under one shared
+//!   budget ([`eval_pairs_from_sources_controlled_csr_with`] and friends)
+//!   — the per-atom machinery `rpq-optimizer`'s join planner composes;
 //! * [`QuotientDfaEngine`] / [`eval_quotient_dfa_csr`] — explicit quotients
 //!   as lazily determinized state sets (the possibly-exponential
 //!   construction the paper warns about);
@@ -111,35 +111,30 @@ pub use engine::{
 pub use oracle::eval_oracle;
 pub use pair::{
     eval_pair, eval_product_pair_backward_csr, eval_product_pair_backward_reversed_csr,
-    eval_product_pair_backward_reversed_csr_with, eval_product_pair_controlled_csr_with,
-    eval_product_pair_csr, eval_product_pair_csr_with, eval_product_pair_forward_csr,
-    eval_product_pair_forward_csr_with, eval_product_pair_reversed_csr_with, eval_to, PairResult,
+    eval_product_pair_controlled_csr_with, eval_product_pair_csr, eval_product_pair_forward_csr,
+    eval_to, PairResult,
 };
 pub use pairset::{
-    eval_pairs_bound_controlled_csr_with, eval_pairs_bound_csr_with,
-    eval_pairs_from_sources_controlled_csr_with, eval_pairs_from_sources_csr_with,
-    eval_pairs_to_targets_controlled_csr_with, eval_pairs_to_targets_csr_with, seed_candidates,
+    eval_pairs_bound_controlled_csr_with, eval_pairs_from_sources_controlled_csr_with,
+    eval_pairs_from_sources_csr_with, eval_pairs_to_targets_controlled_csr_with, seed_candidates,
     PairSetResult,
 };
 pub use parallel::{
-    eval_pairs_bound_parallel_csr_with, eval_pairs_from_sources_parallel_csr_with,
-    eval_pairs_to_targets_parallel_csr_with, eval_product_backward_parallel_reversed_csr_with,
-    eval_product_batch_parallel_csr_with, eval_product_parallel_csr_with,
-    eval_product_to_batch_parallel_csr_with, WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD,
+    eval_product_backward_parallel_reversed_csr_with, eval_product_batch_parallel_csr_with,
+    eval_product_parallel_csr_with, eval_product_to_batch_parallel_csr_with, WorkerLease,
+    WorkerPool, PAR_LEVEL_THRESHOLD,
 };
 pub use product::{
     eval_product, eval_product_backward_controlled_reversed_csr_with, eval_product_backward_csr,
     eval_product_backward_reversed_csr, eval_product_backward_reversed_csr_with,
-    eval_product_bounded_backward_reversed_csr, eval_product_bounded_backward_reversed_csr_with,
-    eval_product_bounded_csr, eval_product_bounded_csr_with, eval_product_controlled_csr_with,
-    eval_product_csr, eval_product_csr_with, eval_product_scan, EvalResult, FrontierMode,
-    PULL_SWEEP_DISCOUNT,
+    eval_product_controlled_csr_with, eval_product_csr, eval_product_csr_with, eval_product_scan,
+    EvalResult, FrontierMode, PULL_SWEEP_DISCOUNT,
 };
 pub use quotient::{
     eval_derivative, eval_derivative_csr, eval_quotient_dfa, eval_quotient_dfa_csr,
 };
 pub use request::{
-    run_default, Answers, EvalControl, EvalRequest, EvalResponse, SourceSpec, Termination,
+    run_default, Answers, Dispatch, EvalControl, EvalRequest, EvalResponse, SourceSpec, Termination,
 };
 pub use rpq_graph::CsrGraph;
 pub use scratch::{EvalScratch, PooledScratch, ScratchPool};

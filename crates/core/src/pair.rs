@@ -24,6 +24,9 @@
 //!   [`rpq_graph::bitset::NodeBitset`] per automaton state
 //!   ([`FrontierArena`]), so the intersection probe is one bit test.
 //!
+//! [`eval_product_pair_controlled_csr_with`] runs any of the three by a
+//! [`Direction`] argument, under an [`EvalControl`] and with pooled
+//! scratch — the kernel behind every [`crate::SourceSpec::Pair`] request.
 //! Which strategy wins is data-dependent (first- vs last-label
 //! selectivity); `rpq_optimizer::PlannedEngine` chooses from
 //! [`rpq_graph::LabelStats`]. [`eval_pair`] and [`eval_to`] are the
@@ -39,7 +42,7 @@ use crate::product::{
 };
 use crate::request::{EvalControl, Termination};
 use crate::scratch::EvalScratch;
-use crate::stats::EvalStats;
+use crate::stats::{Direction, EvalStats};
 
 /// Result of a pair-reachability evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,51 +64,44 @@ pub fn eval_product_pair_forward_csr<G: GraphView>(
     pair_result(found, res.stats)
 }
 
-/// [`eval_product_pair_forward_csr`] with an explicit [`FrontierMode`] and
-/// caller-provided [`EvalScratch`] — the pooled hot-path form.
-pub fn eval_product_pair_forward_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> PairResult {
-    let (res, found, _) = product_search_with(
-        nfa,
-        graph,
-        source,
-        false,
-        Some(target),
-        None,
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    );
-    pair_result(found, res.stats)
-}
-
-/// Pair reachability under serving-layer execution controls: the forward
-/// early-exit search with an `edges_scanned` budget and a cooperative
-/// cancellation flag. A `reachable == true` verdict is definitive even if
-/// the budget tripped right after the hit; `reachable == false` under a
+/// Pair reachability under serving-layer execution controls, by the given
+/// `direction`: the forward early-exit search (`nfa` over the forward
+/// adjacency), the backward one (`reversed` over the reverse adjacency,
+/// early exit on `source`), or meet-in-the-middle (both). `reversed` must
+/// be `nfa.reverse()`; `mode` prices the single-direction searches'
+/// levels (meet-in-the-middle always pushes).
+///
+/// The `edges_scanned` budget is checked before every row scan and the
+/// cancellation flag once per BFS level, in every direction. A
+/// `reachable == true` verdict is definitive even if the budget tripped
+/// right after the hit; `reachable == false` under a
 /// non-[`Termination::Complete`] termination means *not determined* — the
 /// search was abandoned before exhausting the pair space.
+#[allow(clippy::too_many_arguments)]
 pub fn eval_product_pair_controlled_csr_with<G: GraphView>(
     nfa: &Nfa,
+    reversed: &Nfa,
     graph: &G,
     source: Oid,
     target: Oid,
+    direction: Direction,
     mode: FrontierMode,
     control: &EvalControl,
     scratch: &mut EvalScratch,
 ) -> (PairResult, Termination) {
+    let (automaton, root, stop_at, reverse_adj) = match direction {
+        Direction::Forward => (nfa, source, target, false),
+        Direction::Backward => (reversed, target, source, true),
+        Direction::Bidirectional => {
+            return meet_in_the_middle(nfa, reversed, graph, source, target, control, scratch)
+        }
+    };
     let (res, found, term) = product_search_with(
-        nfa,
+        automaton,
         graph,
-        source,
-        false,
-        Some(target),
+        root,
+        reverse_adj,
+        Some(stop_at),
         None,
         mode,
         control,
@@ -139,30 +135,6 @@ pub fn eval_product_pair_backward_reversed_csr<G: GraphView>(
     pair_result(found, res.stats)
 }
 
-/// [`eval_product_pair_backward_reversed_csr`] with an explicit
-/// [`FrontierMode`] and caller-provided [`EvalScratch`].
-pub fn eval_product_pair_backward_reversed_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> PairResult {
-    let (res, found, _) = product_search_with(
-        reversed,
-        graph,
-        target,
-        true,
-        Some(source),
-        None,
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    );
-    pair_result(found, res.stats)
-}
-
 fn pair_result(reachable: bool, mut stats: EvalStats) -> PairResult {
     stats.answers = usize::from(reachable);
     PairResult { reachable, stats }
@@ -178,33 +150,33 @@ pub fn eval_product_pair_csr<G: GraphView>(
     target: Oid,
 ) -> PairResult {
     let mut scratch = EvalScratch::new();
-    eval_product_pair_csr_with(nfa, graph, source, target, &mut scratch)
+    eval_product_pair_controlled_csr_with(
+        nfa,
+        &nfa.reverse(),
+        graph,
+        source,
+        target,
+        Direction::Bidirectional,
+        FrontierMode::Hybrid,
+        &EvalControl::UNLIMITED,
+        &mut scratch,
+    )
+    .0
 }
 
-/// [`eval_product_pair_csr`] with a caller-provided [`EvalScratch`] —
-/// reverses the automaton per call; planners holding a cached
-/// [`Nfa::reverse`] should use [`eval_product_pair_reversed_csr_with`].
-pub fn eval_product_pair_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-    scratch: &mut EvalScratch,
-) -> PairResult {
-    eval_product_pair_reversed_csr_with(nfa, &nfa.reverse(), graph, source, target, scratch)
-}
-
-/// Meet-in-the-middle with both automata supplied (`reversed` must be
-/// `nfa.reverse()`) and all working memory drawn from `scratch` — the
-/// planner's pooled hot-path form.
-pub fn eval_product_pair_reversed_csr_with<G: GraphView>(
+/// The meet-in-the-middle search behind [`Direction::Bidirectional`]:
+/// both automata supplied (`reversed` must be `nfa.reverse()`), all
+/// working memory drawn from `scratch`, the budget checked before every
+/// row scan and the cancellation flag before every level.
+fn meet_in_the_middle<G: GraphView>(
     nfa: &Nfa,
     reversed: &Nfa,
     graph: &G,
     source: Oid,
     target: Oid,
+    control: &EvalControl,
     scratch: &mut EvalScratch,
-) -> PairResult {
+) -> (PairResult, Termination) {
     let nv = graph.num_nodes();
     let nq = nfa.num_states();
     let rnq = reversed.num_states();
@@ -220,8 +192,9 @@ pub fn eval_product_pair_reversed_csr_with<G: GraphView>(
         scratch_reused: usize::from(covered),
         ..EvalStats::default()
     };
+    let found = |stats| (pair_result(true, stats), Termination::Complete);
     if nv == 0 {
-        return pair_result(false, stats);
+        return (pair_result(false, stats), Termination::Complete);
     }
 
     // seen_f = scratch.dense: a prefix reaches automaton state q at node v.
@@ -260,7 +233,7 @@ pub fn eval_product_pair_reversed_csr_with<G: GraphView>(
         &scratch.dense,
         false,
     ) {
-        return pair_result(true, stats);
+        return found(stats);
     }
 
     // Either frontier draining without a meet proves unreachability: a
@@ -270,6 +243,10 @@ pub fn eval_product_pair_reversed_csr_with<G: GraphView>(
     // target)`, so the meet probe would have fired (symmetrically for a
     // drained backward side against the forward seed closure).
     while !scratch.frontier.is_empty() && !scratch.frontier_b.is_empty() {
+        // Cooperative cancellation: one relaxed flag read per level.
+        if control.cancelled() {
+            return (pair_result(false, stats), Termination::Cancelled);
+        }
         // Expand the smaller frontier one full level.
         let forward_side = scratch.frontier.len() <= scratch.frontier_b.len();
         let EvalScratch {
@@ -301,12 +278,18 @@ pub fn eval_product_pair_reversed_csr_with<G: GraphView>(
                 } else {
                     graph.rev(v, sym)
                 };
+                if control
+                    .budget
+                    .is_some_and(|b| stats.edges_scanned + targets.len() > b)
+                {
+                    return (pair_result(false, stats), Termination::BudgetExhausted);
+                }
                 stats.edges_scanned += targets.len();
                 for v2 in targets {
                     if seen.state_mut(q2 as usize).insert(v2.index()) {
                         next.push((q2, v2));
                         if meets(q2, seen_other, v2, forward_side) {
-                            return pair_result(true, stats);
+                            return found(stats);
                         }
                     }
                 }
@@ -317,11 +300,11 @@ pub fn eval_product_pair_reversed_csr_with<G: GraphView>(
         next.clear();
         // ε-closure of the freshly advanced level.
         if close_level(auto, frontier, seen, seen_other, forward_side) {
-            return pair_result(true, stats);
+            return found(stats);
         }
     }
 
-    pair_result(false, stats)
+    (pair_result(false, stats), Termination::Complete)
 }
 
 /// Does a cell of one search side meet the other side's seen set? A forward

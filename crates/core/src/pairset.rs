@@ -7,33 +7,36 @@
 //! bindings its regex induces between candidate `x` values and candidate
 //! `y` values. [`PairSetResult`] carries that binding set, and the
 //! kernels here produce it three ways — mirroring the pair module's
-//! forward / backward / both-bound strategies, all on the bit-parallel
-//! lane machinery of [`crate::batch`]:
+//! forward / backward / both-bound strategies:
 //!
-//! * [`eval_pairs_from_sources_csr_with`] — **forward**: wave the sources
-//!   through the product BFS in 64-lane chunks; every accepting lane mask
-//!   bit at node `v` is a binding `(source, v)`. Use when the atom's
-//!   source variable is bound and the target variable is free.
-//! * [`eval_pairs_to_targets_csr_with`] — **backward**: the same kernel
-//!   over the *reversed* automaton and reverse adjacency with targets as
-//!   lanes; masks yield bindings `(v, target)`. Use when only the target
-//!   variable is bound.
-//! * [`eval_pairs_bound_csr_with`] — **both bound** (the semijoin form):
-//!   forward lanes, but masks are probed only at the bound target nodes —
-//!   the N×M matrix kernel's cost profile with bindings instead of bits.
+//! * [`eval_pairs_from_sources_controlled_csr_with`] — **forward**: one
+//!   product BFS per source; every answer `v` of source `s` is a binding
+//!   `(s, v)`. Use when the atom's source variable is bound and the
+//!   target variable is free.
+//! * [`eval_pairs_to_targets_controlled_csr_with`] — **backward**: the
+//!   same loop over the *reversed* automaton and reverse adjacency, one
+//!   search per target; answers yield bindings `(v, target)`. Use when
+//!   only the target variable is bound.
+//! * [`eval_pairs_bound_controlled_csr_with`] — **both bound** (the
+//!   semijoin form): the forward loop with each source's answers filtered
+//!   to the bound target set.
 //!
 //! When *neither* variable is bound, [`seed_candidates`] prunes the seed
 //! set to nodes that can take at least one step of the query (or every
 //! node, when the query accepts ε) before the forward kernel runs.
 //!
-//! The `*_controlled_csr_with` forms thread the serving layer's
-//! [`EvalControl`] through every seed: one shared `edges_scanned` budget,
-//! per-level cancellation, and the uniform soundness contract — bindings
-//! collected before an early termination are true bindings, seeds not
-//! reached before exhaustion simply contribute none
-//! ([`PairSetResult::termination`] says which case occurred). All working
-//! memory comes from the caller's [`EvalScratch`], so warm serving
+//! Every kernel threads the serving layer's [`EvalControl`] through every
+//! seed: one shared `edges_scanned` budget, per-level cancellation, and
+//! the uniform soundness contract — bindings collected before an early
+//! termination are true bindings, seeds not reached before exhaustion
+//! simply contribute none ([`PairSetResult::termination`] says which case
+//! occurred). [`EvalControl::UNLIMITED`] runs them to completion. All
+//! working memory comes from the caller's [`EvalScratch`], so warm serving
 //! queries stay allocation-free apart from the result vector.
+//!
+//! [`eval_pairs_from_sources_csr_with`] is the one bit-parallel lane form
+//! kept: the reference the naive CRPQ join oracle
+//! (`rpq_optimizer::execute_naive`) is built on.
 
 use rpq_automata::{Nfa, Symbol};
 use rpq_graph::{GraphView, Oid};
@@ -88,7 +91,7 @@ impl PairSetResult {
 
 /// Finalize a binding list: lexicographic order, dedup (duplicate seeds
 /// each get a lane, so their bindings repeat), answer count.
-pub(crate) fn finish_pairs(
+fn finish_pairs(
     mut pairs: Vec<(Oid, Oid)>,
     mut stats: EvalStats,
     termination: Termination,
@@ -120,64 +123,14 @@ pub fn eval_pairs_from_sources_csr_with<G: GraphView>(
         false,
         scratch,
         &mut |masks, wave_start, wave_len| {
-            collect_mask_pairs(masks, wave_start, wave_len, sources, false, &mut pairs);
-        },
-    );
-    finish_pairs(pairs, stats, Termination::Complete)
-}
-
-/// Backward set-valued pair evaluation: all bindings `(s, t)` with
-/// `t ∈ targets` and `t ∈ p(s, I)`, by the lane kernel over the
-/// *already-reversed* automaton ([`Nfa::reverse`]) and reverse adjacency
-/// (targets ride the lanes; discovered sources fill the masks).
-pub fn eval_pairs_to_targets_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    targets: &[Oid],
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let mut pairs: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-    let stats = batch_wave_kernel_sink(
-        reversed,
-        graph,
-        targets,
-        true,
-        scratch,
-        &mut |masks, wave_start, wave_len| {
-            collect_mask_pairs(masks, wave_start, wave_len, targets, true, &mut pairs);
-        },
-    );
-    finish_pairs(pairs, stats, Termination::Complete)
-}
-
-/// Both-bound set-valued pair evaluation (the semijoin form): bindings
-/// `(s, t)` with `s ∈ sources`, `t ∈ targets`, `t ∈ p(s, I)`. Runs the
-/// forward lane kernel and probes each wave's masks only at the bound
-/// target nodes — the N×M matrix kernel's cost profile
-/// ([`crate::eval_product_matrix_csr_with`]) with bindings instead of a
-/// bit matrix.
-pub fn eval_pairs_bound_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-    targets: &[Oid],
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let mut pairs: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-    let stats = batch_wave_kernel_sink(
-        nfa,
-        graph,
-        sources,
-        false,
-        scratch,
-        &mut |masks, wave_start, wave_len| {
-            for &t in targets {
-                let mask = masks.get(t.index()).copied().unwrap_or(0);
-                let mut m = mask & lane_mask(wave_len);
+            // Every accepting lane bit at node `v` binds `(seed, v)`.
+            let live = lane_mask(wave_len);
+            for (v, &mask) in masks.iter().enumerate() {
+                let mut m = mask & live;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    pairs.push((sources[wave_start + lane], t));
+                    pairs.push((sources[wave_start + lane], Oid(v as u32)));
                 }
             }
         },
@@ -185,35 +138,10 @@ pub fn eval_pairs_bound_csr_with<G: GraphView>(
     finish_pairs(pairs, stats, Termination::Complete)
 }
 
-/// Turn one wave's accepting masks into bindings. Forward waves
-/// (`lanes_are_targets == false`) emit `(seed, v)`; backward waves emit
-/// `(v, seed)`.
-pub(crate) fn collect_mask_pairs(
-    masks: &[u64],
-    wave_start: usize,
-    wave_len: usize,
-    seeds: &[Oid],
-    lanes_are_targets: bool,
-    out: &mut Vec<(Oid, Oid)>,
-) {
-    let live = lane_mask(wave_len);
-    for (v, &mask) in masks.iter().enumerate() {
-        let mut m = mask & live;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let seed = seeds[wave_start + lane];
-            if lanes_are_targets {
-                out.push((Oid(v as u32), seed));
-            } else {
-                out.push((seed, Oid(v as u32)));
-            }
-        }
-    }
-}
-
-/// [`eval_pairs_from_sources_csr_with`] under serving-layer execution
-/// controls: one `edges_scanned` budget shared across every seed (each
+/// Forward set-valued pair evaluation under serving-layer execution
+/// controls: all bindings `(s, t)` with `s ∈ sources` and `t ∈ p(s, I)`,
+/// one product BFS per source. One `edges_scanned` budget is shared across
+/// every seed (each
 /// seed's search gets whatever the budget has left), cancellation checked
 /// per BFS level. Stops at the first non-complete termination; seeds not
 /// yet explored contribute no bindings — still a sound subset.
@@ -230,8 +158,10 @@ pub fn eval_pairs_from_sources_controlled_csr_with<G: GraphView>(
     })
 }
 
-/// [`eval_pairs_to_targets_csr_with`] under serving-layer execution
-/// controls (already-reversed automaton; see
+/// Backward set-valued pair evaluation: all bindings `(s, t)` with
+/// `t ∈ targets` and `t ∈ p(s, I)`, one search per target over the
+/// *already-reversed* automaton ([`Nfa::reverse`]) and reverse adjacency
+/// (see
 /// [`eval_pairs_from_sources_controlled_csr_with`] for the budget
 /// contract).
 pub fn eval_pairs_to_targets_controlled_csr_with<G: GraphView>(
@@ -251,9 +181,10 @@ pub fn eval_pairs_to_targets_controlled_csr_with<G: GraphView>(
     finish_pairs(flipped, res.stats, res.termination)
 }
 
-/// [`eval_pairs_bound_csr_with`] under serving-layer execution controls:
-/// the per-seed controlled loop with each seed's answers filtered to the
-/// bound target set.
+/// Both-bound set-valued pair evaluation (the semijoin form): bindings
+/// `(s, t)` with `s ∈ sources`, `t ∈ targets`, `t ∈ p(s, I)` — the
+/// per-seed controlled loop with each seed's answers filtered to the bound
+/// target set.
 pub fn eval_pairs_bound_controlled_csr_with<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
@@ -433,7 +364,14 @@ mod tests {
             let q = Query::parse(&mut ab, qs).unwrap();
             let fwd = eval_pairs_from_sources_csr_with(q.nfa(), &csr, &all, &mut scratch);
             let rev = q.nfa().reverse();
-            let bwd = eval_pairs_to_targets_csr_with(&rev, &csr, &all, &mut scratch);
+            let bwd = eval_pairs_to_targets_controlled_csr_with(
+                &rev,
+                &csr,
+                &all,
+                FrontierMode::Hybrid,
+                &EvalControl::UNLIMITED,
+                &mut scratch,
+            );
             assert_eq!(fwd.pairs, bwd.pairs, "{qs}");
         }
     }
@@ -446,7 +384,15 @@ mod tests {
         let q = Query::parse(&mut ab, "(a+b)*").unwrap();
         let sources = vec![all[0], all[2]];
         let targets = vec![all[1]];
-        let res = eval_pairs_bound_csr_with(q.nfa(), &csr, &sources, &targets, &mut scratch);
+        let res = eval_pairs_bound_controlled_csr_with(
+            q.nfa(),
+            &csr,
+            &sources,
+            &targets,
+            FrontierMode::Hybrid,
+            &EvalControl::UNLIMITED,
+            &mut scratch,
+        );
         let expect: Vec<(Oid, Oid)> = oracle_pairs(&q, &csr, &sources)
             .into_iter()
             .filter(|(_, t)| targets.contains(t))

@@ -53,8 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use rpq_automata::{Nfa, StateId, Symbol};
 use rpq_graph::{FrontierArena, GraphView, Oid};
 
-use crate::batch::{batch_wave_kernel_sink, collect_wave_answers, lane_mask, BatchResult};
-use crate::pairset::{collect_mask_pairs, finish_pairs, PairSetResult};
+use crate::batch::{batch_wave_kernel_sink, collect_wave_answers, BatchResult};
 use crate::product::{pair_pull_probes, product_search_with, EvalResult, FrontierMode, PullBound};
 use crate::request::{EvalControl, Termination};
 use crate::scratch::{EvalScratch, PooledScratch, ScratchPool};
@@ -434,7 +433,7 @@ fn run_level<G: GraphView + Sync>(
 /// threads when its priced cost clears [`PAR_LEVEL_THRESHOLD`]. `dop ≤ 1`
 /// delegates to the sequential kernel unchanged.
 #[allow(clippy::too_many_arguments)]
-fn product_search_parallel<G: GraphView + Sync>(
+pub(crate) fn product_search_parallel<G: GraphView + Sync>(
     nfa: &Nfa,
     graph: &G,
     source: Oid,
@@ -897,112 +896,6 @@ pub fn eval_product_to_batch_parallel_csr_with<G: GraphView + Sync>(
     BatchResult::from_per_source(per_target, stats)
 }
 
-/// Wave-parallel sibling of [`crate::eval_pairs_from_sources_csr_with`]:
-/// set-valued forward pair bindings with source waves fanned across up to
-/// `dop` workers. The finalize step sorts and dedups, so the binding set is
-/// identical to the sequential kernel's.
-pub fn eval_pairs_from_sources_parallel_csr_with<G: GraphView + Sync>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-    dop: usize,
-    pool: &ScratchPool,
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let (waves, stats) = wave_fanout(
-        nfa,
-        graph,
-        sources,
-        false,
-        dop,
-        pool,
-        scratch,
-        |masks, start, wave_len| {
-            let mut out: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-            collect_mask_pairs(masks, start, wave_len, sources, false, &mut out);
-            out
-        },
-    );
-    finish_pairs(
-        waves.into_iter().flatten().collect(),
-        stats,
-        Termination::Complete,
-    )
-}
-
-/// Wave-parallel sibling of [`crate::eval_pairs_to_targets_csr_with`]:
-/// set-valued backward pair bindings (already-reversed automaton) with
-/// target waves fanned across up to `dop` workers.
-pub fn eval_pairs_to_targets_parallel_csr_with<G: GraphView + Sync>(
-    reversed: &Nfa,
-    graph: &G,
-    targets: &[Oid],
-    dop: usize,
-    pool: &ScratchPool,
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let (waves, stats) = wave_fanout(
-        reversed,
-        graph,
-        targets,
-        true,
-        dop,
-        pool,
-        scratch,
-        |masks, start, wave_len| {
-            let mut out: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-            collect_mask_pairs(masks, start, wave_len, targets, true, &mut out);
-            out
-        },
-    );
-    finish_pairs(
-        waves.into_iter().flatten().collect(),
-        stats,
-        Termination::Complete,
-    )
-}
-
-/// Wave-parallel sibling of [`crate::eval_pairs_bound_csr_with`]: the
-/// both-bound semijoin form, probing each wave's masks at the bound target
-/// nodes, with source waves fanned across up to `dop` workers.
-pub fn eval_pairs_bound_parallel_csr_with<G: GraphView + Sync>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-    targets: &[Oid],
-    dop: usize,
-    pool: &ScratchPool,
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let (waves, stats) = wave_fanout(
-        nfa,
-        graph,
-        sources,
-        false,
-        dop,
-        pool,
-        scratch,
-        |masks, start, wave_len| {
-            let mut out: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-            for &t in targets {
-                let mask = masks.get(t.index()).copied().unwrap_or(0);
-                let mut m = mask & lane_mask(wave_len);
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    out.push((sources[start + lane], t));
-                }
-            }
-            out
-        },
-    );
-    finish_pairs(
-        waves.into_iter().flatten().collect(),
-        stats,
-        Termination::Complete,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1101,10 +994,6 @@ mod tests {
     #[test]
     fn wave_fanout_agrees_with_sequential_kernels() {
         use crate::batch::{eval_product_batch_csr_with, eval_product_to_batch_csr_with};
-        use crate::pairset::{
-            eval_pairs_bound_csr_with, eval_pairs_from_sources_csr_with,
-            eval_pairs_to_targets_csr_with,
-        };
         let (_ab, graph, _src, nfa) = web(300);
         let seeds: Vec<Oid> = (0..300).step_by(2).map(|i| Oid(i as u32)).collect();
         let targets: Vec<Oid> = (0..300).step_by(7).map(|i| Oid(i as u32)).collect();
@@ -1113,9 +1002,6 @@ mod tests {
         let mut s = EvalScratch::new();
         let batch_seq = eval_product_batch_csr_with(&nfa, &graph, &seeds, &mut s);
         let to_seq = eval_product_to_batch_csr_with(&reversed, &graph, &targets, &mut s);
-        let from_seq = eval_pairs_from_sources_csr_with(&nfa, &graph, &seeds, &mut s);
-        let tgt_seq = eval_pairs_to_targets_csr_with(&reversed, &graph, &targets, &mut s);
-        let bound_seq = eval_pairs_bound_csr_with(&nfa, &graph, &seeds, &targets, &mut s);
 
         for dop in [1usize, 2, 4] {
             let pool = ScratchPool::new();
@@ -1125,29 +1011,14 @@ mod tests {
             assert_eq!(b.per_source(), batch_seq.per_source(), "batch dop={dop}");
             assert_eq!(b.union(), batch_seq.union(), "batch union dop={dop}");
             assert_eq!(b.stats.answers, batch_seq.stats.answers);
+            if dop > 1 {
+                assert!(b.stats.threads_used >= 2, "fan-out engaged at dop={dop}");
+            }
 
             let t = eval_product_to_batch_parallel_csr_with(
                 &reversed, &graph, &targets, dop, &pool, &mut scr,
             );
             assert_eq!(t.per_source(), to_seq.per_source(), "to-batch dop={dop}");
-
-            let f = eval_pairs_from_sources_parallel_csr_with(
-                &nfa, &graph, &seeds, dop, &pool, &mut scr,
-            );
-            assert_eq!(f.pairs, from_seq.pairs, "pairs-from dop={dop}");
-
-            let g = eval_pairs_to_targets_parallel_csr_with(
-                &reversed, &graph, &targets, dop, &pool, &mut scr,
-            );
-            assert_eq!(g.pairs, tgt_seq.pairs, "pairs-to dop={dop}");
-
-            let h = eval_pairs_bound_parallel_csr_with(
-                &nfa, &graph, &seeds, &targets, dop, &pool, &mut scr,
-            );
-            assert_eq!(h.pairs, bound_seq.pairs, "pairs-bound dop={dop}");
-            if dop > 1 {
-                assert!(h.stats.threads_used >= 2, "fan-out engaged at dop={dop}");
-            }
         }
     }
 

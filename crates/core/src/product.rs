@@ -681,81 +681,6 @@ pub fn eval_product_backward_controlled_reversed_csr_with<G: GraphView>(
     (res, term)
 }
 
-/// [`eval_product_csr`] with a BFS depth cap: levels beyond `depth_cap`
-/// are never expanded (their graph edges are not even scanned). Sound and
-/// complete whenever `depth_cap ≥` the length of the longest word of
-/// `L(nfa)` ([`rpq_automata::Nfa::longest_accepted_len`]) — the planner's
-/// finite-language fast path: a finite query on a cyclic graph stops at
-/// its exact word-length bound instead of saturating the pair space.
-pub fn eval_product_bounded_csr<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    depth_cap: usize,
-) -> EvalResult {
-    product_search(nfa, graph, source, false, None, Some(depth_cap)).0
-}
-
-/// [`eval_product_bounded_csr`] with an explicit mode and caller-provided
-/// scratch (see [`eval_product_csr_with`]).
-pub fn eval_product_bounded_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    depth_cap: usize,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> EvalResult {
-    product_search_with(
-        nfa,
-        graph,
-        source,
-        false,
-        None,
-        Some(depth_cap),
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    )
-    .0
-}
-
-/// The backward ([`eval_product_backward_reversed_csr`]) form of
-/// [`eval_product_bounded_csr`]: already-reversed automaton, reverse
-/// adjacency, capped depth.
-pub fn eval_product_bounded_backward_reversed_csr<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    target: Oid,
-    depth_cap: usize,
-) -> EvalResult {
-    product_search(reversed, graph, target, true, None, Some(depth_cap)).0
-}
-
-/// [`eval_product_bounded_backward_reversed_csr`] with an explicit mode and
-/// caller-provided scratch (see [`eval_product_csr_with`]).
-pub fn eval_product_bounded_backward_reversed_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    target: Oid,
-    depth_cap: usize,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> EvalResult {
-    product_search_with(
-        reversed,
-        graph,
-        target,
-        true,
-        None,
-        Some(depth_cap),
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    )
-    .0
-}
-
 /// The target-bound evaluation `{o | target ∈ p(o, I)}`: all objects that
 /// reach `target` by a path spelling a word of `L(nfa)`.
 ///
@@ -1058,18 +983,35 @@ mod tests {
         let r = parse_regex(&mut ab, "a.a + a.b").unwrap();
         let nfa = Nfa::thompson(&r);
         assert_eq!(nfa.longest_accepted_len(), Some(2));
+        let mut scratch = EvalScratch::new();
+        let mut capped = |nfa: &Nfa, root: &str, cap: usize, backward: bool| {
+            let run = if backward {
+                eval_product_backward_controlled_reversed_csr_with
+            } else {
+                eval_product_controlled_csr_with
+            };
+            let (res, term) = run(
+                nfa,
+                &csr,
+                names[root],
+                Some(cap),
+                FrontierMode::Hybrid,
+                &EvalControl::UNLIMITED,
+                &mut scratch,
+            );
+            assert_eq!(term, Termination::Complete);
+            res
+        };
         let full = eval_product_csr(&nfa, &csr, names["s"]);
-        let capped = eval_product_bounded_csr(&nfa, &csr, names["s"], 2);
-        assert_eq!(capped.answers, full.answers);
+        assert_eq!(capped(&nfa, "s", 2, false).answers, full.answers);
         // a cap below the longest word is allowed but incomplete — the
         // planner never does this; documented here as the contract edge
-        let short = eval_product_bounded_csr(&nfa, &csr, names["s"], 1);
+        let short = capped(&nfa, "s", 1, false);
         assert!(short.answers.len() <= full.answers.len());
         // backward form agrees with the uncapped backward search
         let rev = nfa.reverse();
         let bwd_full = eval_product_backward_reversed_csr(&rev, &csr, names["t"]);
-        let bwd_capped = eval_product_bounded_backward_reversed_csr(&rev, &csr, names["t"], 2);
-        assert_eq!(bwd_capped.answers, bwd_full.answers);
+        assert_eq!(capped(&rev, "t", 2, true).answers, bwd_full.answers);
     }
 
     #[test]

@@ -7,9 +7,26 @@
 //! [`EvalRequest`] collapses them: a [`SourceSpec`] names the question, and
 //! optional *execution controls* — a fetch budget on `edges_scanned`, a
 //! cooperative cancellation flag, a [`FrontierMode`] and a direction hint —
-//! ride along uniformly. [`Engine::run`] is the single dispatch point; the
-//! legacy methods are thin wrappers over it, and `rpq-server` uses the
+//! ride along uniformly. [`Engine::run`] is the single engine entry point;
+//! the legacy methods are thin wrappers over it, and `rpq-server` uses the
 //! request form as its wire-level query type.
+//!
+//! ## One request path
+//!
+//! [`Dispatch::run`] is the only code that maps a request to kernels. It
+//! takes the automaton, its reversal, an optional depth cap, a default
+//! pair direction, a frontier mode, a degree of parallelism and a
+//! [`ScratchPool`], and runs every arm under [`EvalRequest::control`]. A
+//! request without a budget or cancellation flag gets
+//! [`EvalControl::UNLIMITED`] — a control that never binds, not a second
+//! code path — so its answers and `edges_scanned` are exactly those of
+//! the same request with a cancel flag that is never raised. Two callers
+//! exist: `rpq_optimizer::PlannedEngine::run_view` (the plan's automata,
+//! depth cap and direction, and a leased degree of parallelism) and
+//! [`run_default`], which sends requests with controls
+//! ([`EvalRequest::is_controlled`]) and every conjunctive request there
+//! with no depth cap, one worker, and forward pairs, and answers the
+//! other uncontrolled shapes with the engine's own strategy.
 //!
 //! ## Soundness under early termination
 //!
@@ -27,22 +44,19 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rpq_graph::{CsrGraph, Oid};
+use rpq_automata::Nfa;
+use rpq_graph::{CsrGraph, GraphView, Oid};
 
 use crate::batch::{eval_product_matrix_csr_with, BatchResult, MatrixResult};
 use crate::engine::{Engine, Query};
 use crate::pair::{eval_product_pair_controlled_csr_with, PairResult};
 use crate::pairset::{
-    eval_pairs_bound_controlled_csr_with, eval_pairs_bound_csr_with,
-    eval_pairs_from_sources_controlled_csr_with, eval_pairs_from_sources_csr_with,
-    eval_pairs_to_targets_controlled_csr_with, eval_pairs_to_targets_csr_with, seed_candidates,
-    PairSetResult,
+    eval_pairs_bound_controlled_csr_with, eval_pairs_from_sources_controlled_csr_with,
+    eval_pairs_to_targets_controlled_csr_with, seed_candidates, PairSetResult,
 };
-use crate::product::{
-    eval_product_backward_controlled_reversed_csr_with, eval_product_controlled_csr_with,
-    EvalResult, FrontierMode,
-};
-use crate::scratch::EvalScratch;
+use crate::parallel::product_search_parallel;
+use crate::product::{EvalResult, FrontierMode};
+use crate::scratch::{EvalScratch, ScratchPool};
 use crate::stats::{Direction, EvalStats};
 
 /// Execution controls threaded into the product BFS level loops: an
@@ -242,8 +256,9 @@ impl EvalRequest {
         self
     }
 
-    /// Does the request carry a budget or a cancellation flag? Controlled
-    /// requests route through the budget-aware product kernels.
+    /// Does the request carry a budget or a cancellation flag?
+    /// [`run_default`] sends controlled requests to [`Dispatch::run`]
+    /// instead of the engine's own strategy.
     pub fn is_controlled(&self) -> bool {
         self.budget.is_some() || self.cancel.is_some()
     }
@@ -422,11 +437,13 @@ impl EvalResponse {
 }
 
 /// The default [`Engine::run`] dispatch, shared by every engine that does
-/// not override `run`: uncontrolled requests route through the engine's
-/// own single-source strategy (and the shared backward/pair/matrix
-/// kernels); controlled requests route through the budget- and
-/// cancellation-aware product kernels, bypassing the engine so the budget
-/// binds uniformly.
+/// not override `run`: uncontrolled single-source and multi-source
+/// requests run the engine's own [`Engine::eval`] strategy, uncontrolled
+/// target, pair and matrix requests the shared backward / meet-in-the-middle
+/// / matrix kernels. Controlled requests, and every conjunctive request, go
+/// through [`Dispatch::run`] with no depth cap, one worker, and forward
+/// pairs unless the request hints otherwise, bypassing the engine so the
+/// budget binds uniformly.
 ///
 /// Engines that *do* override `run` (for set-at-a-time strategies or
 /// planning) call back into this for the arms they don't specialize.
@@ -437,7 +454,7 @@ pub fn run_default<E: Engine + ?Sized>(
     req: &EvalRequest,
 ) -> EvalResponse {
     if req.is_controlled() {
-        return run_controlled(query, graph, req);
+        return run_dispatched(query, graph, req);
     }
     match &req.spec {
         SourceSpec::Source(s) => EvalResponse::from_nodes(engine.eval(query, graph, *s)),
@@ -475,217 +492,199 @@ pub fn run_default<E: Engine + ?Sized>(
                 &mut scratch,
             ))
         }
-        SourceSpec::Conjunctive { sources, targets } => {
-            let mut scratch = EvalScratch::new();
-            let res = match (sources, targets) {
-                (Some(ss), Some(ts)) => {
-                    eval_pairs_bound_csr_with(query.nfa(), graph, ss, ts, &mut scratch)
-                }
-                (Some(ss), None) => {
-                    eval_pairs_from_sources_csr_with(query.nfa(), graph, ss, &mut scratch)
-                }
-                (None, Some(ts)) => {
-                    let reversed = query.nfa().reverse();
-                    eval_pairs_to_targets_csr_with(&reversed, graph, ts, &mut scratch)
-                }
-                (None, None) => {
-                    let seeds = seed_candidates(query.nfa(), graph, &mut scratch);
-                    eval_pairs_from_sources_csr_with(query.nfa(), graph, &seeds, &mut scratch)
-                }
-            };
-            EvalResponse::from_pairset(res)
-        }
+        SourceSpec::Conjunctive { .. } => run_dispatched(query, graph, req),
     }
 }
 
-/// Budget for the next item of a multi-item controlled request: whatever
-/// the whole-request budget has left after `spent` scans.
-fn remaining_budget(budget: Option<usize>, spent: usize) -> Option<usize> {
-    budget.map(|b| b.saturating_sub(spent))
+/// [`run_default`]'s path through [`Dispatch::run`]: no depth cap, one
+/// worker, forward pairs unless the request hints a direction.
+fn run_dispatched(query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
+    let reversed = query.nfa().reverse();
+    Dispatch {
+        nfa: query.nfa(),
+        reversed: &reversed,
+        depth_cap: None,
+        direction: Direction::Forward,
+        mode: req.frontier_mode,
+        dop: 1,
+        pool: &ScratchPool::new(),
+    }
+    .run(graph, req)
 }
 
-/// Controlled execution: every arm runs through the budget- and
-/// cancellation-aware product kernels. Multi-item arms share one budget
-/// across items (unexplored items report empty answer sets — still a sound
-/// subset) and stop at the first non-complete termination.
-fn run_controlled(query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
-    let mode = req.frontier_mode;
-    let cancel = req.cancel.as_deref();
-    let mut scratch = EvalScratch::new();
-    match &req.spec {
-        SourceSpec::Source(s) => {
-            let (res, term) = eval_product_controlled_csr_with(
-                query.nfa(),
+/// Everything [`Dispatch::run`] needs besides the request: the compiled
+/// automaton and its reversal, the search bounds a planner derived, and
+/// the parallel resources granted to this request.
+#[derive(Debug)]
+pub struct Dispatch<'a> {
+    /// The query automaton.
+    pub nfa: &'a Nfa,
+    /// `nfa.reverse()`, for target-bound and backward searches.
+    pub reversed: &'a Nfa,
+    /// BFS depth cap (the longest accepted word of a finite language):
+    /// levels past it are never expanded. `None` = unbounded.
+    pub depth_cap: Option<usize>,
+    /// Pair direction when the request carries no
+    /// [`EvalRequest::direction`] hint.
+    pub direction: Direction,
+    /// Per-level expansion strategy for every search.
+    pub mode: FrontierMode,
+    /// Granted degree of parallelism (1 = sequential).
+    pub dop: usize,
+    /// Arena pool: the request's own scratch and every parallel worker's.
+    pub pool: &'a ScratchPool,
+}
+
+impl Dispatch<'_> {
+    /// The one mapping from an [`EvalRequest`] to kernels. Every arm runs
+    /// under [`EvalRequest::control`] — [`EvalControl::UNLIMITED`] when
+    /// the request carries neither budget nor cancellation flag, so an
+    /// uncontrolled request is simply a control that never binds.
+    /// Single-source and single-target arms run the frontier-parallel
+    /// product BFS, which is the sequential kernel at `dop ≤ 1`.
+    /// Multi-item arms (`Sources`, `Targets`, `Matrix`) run one such search
+    /// per item, share one budget across items, and stop at the first
+    /// non-complete termination (unexplored items report empty sets — a
+    /// sound subset). `Pair` runs the direction the request hints, else
+    /// [`Dispatch::direction`]; `Conjunctive` runs the per-seed pair-set
+    /// kernels.
+    pub fn run<G: GraphView + Sync>(&self, graph: &G, req: &EvalRequest) -> EvalResponse {
+        let control = req.control();
+        let mut scratch = self.pool.checkout();
+        // One product BFS from `root`: the query forward over the forward
+        // adjacency, or its reversal over the reverse adjacency.
+        let mut search = |backward: bool, root: Oid, control: &EvalControl| {
+            product_search_parallel(
+                if backward { self.reversed } else { self.nfa },
                 graph,
-                *s,
-                None,
-                mode,
-                &req.control(),
+                root,
+                backward,
+                self.depth_cap,
+                self.mode,
+                control,
+                self.dop,
+                self.pool,
                 &mut scratch,
-            );
-            EvalResponse::from_nodes(res).terminated(term)
-        }
-        SourceSpec::Target(t) => {
-            let reversed = query.nfa().reverse();
-            let (res, term) = eval_product_backward_controlled_reversed_csr_with(
-                &reversed,
-                graph,
-                *t,
-                None,
-                mode,
-                &req.control(),
-                &mut scratch,
-            );
-            EvalResponse::from_nodes(res).terminated(term)
-        }
-        SourceSpec::Sources(ss) => {
-            let mut stats = EvalStats::default();
-            let mut per = Vec::with_capacity(ss.len());
-            let mut term = Termination::Complete;
-            for &s in ss {
-                let control = EvalControl {
-                    budget: remaining_budget(req.budget, stats.edges_scanned),
-                    cancel,
-                };
-                let (r, t) = eval_product_controlled_csr_with(
-                    query.nfa(),
-                    graph,
-                    s,
-                    None,
-                    mode,
-                    &control,
-                    &mut scratch,
-                );
-                stats.merge(&r.stats);
-                per.push(r.answers);
-                if !t.is_complete() {
-                    term = t;
-                    break;
-                }
+            )
+        };
+        match &req.spec {
+            SourceSpec::Source(s) => {
+                let (res, term) = search(false, *s, &control);
+                EvalResponse::from_nodes(res).terminated(term)
             }
-            per.resize(ss.len(), Vec::new());
-            EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
-        }
-        SourceSpec::Targets(ts) => {
-            let reversed = query.nfa().reverse();
-            let mut stats = EvalStats::default();
-            let mut per = Vec::with_capacity(ts.len());
-            let mut term = Termination::Complete;
-            for &t in ts {
-                let control = EvalControl {
-                    budget: remaining_budget(req.budget, stats.edges_scanned),
-                    cancel,
-                };
-                let (r, tt) = eval_product_backward_controlled_reversed_csr_with(
-                    &reversed,
-                    graph,
-                    t,
-                    None,
-                    mode,
-                    &control,
-                    &mut scratch,
-                );
-                stats.merge(&r.stats);
-                per.push(r.answers);
-                if !tt.is_complete() {
-                    term = tt;
-                    break;
-                }
+            SourceSpec::Target(t) => {
+                let (res, term) = search(true, *t, &control);
+                EvalResponse::from_nodes(res).terminated(term)
             }
-            per.resize(ts.len(), Vec::new());
-            EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
-        }
-        SourceSpec::Pair { source, target } => {
-            let (pair, term) = eval_product_pair_controlled_csr_with(
-                query.nfa(),
-                graph,
-                *source,
-                *target,
-                mode,
-                &req.control(),
-                &mut scratch,
-            );
-            EvalResponse::from_pair(pair).terminated(term)
-        }
-        SourceSpec::Matrix { sources, targets } => {
-            let mut matrix = MatrixResult::new(sources.clone(), targets.clone());
-            let mut stats = EvalStats::default();
-            let mut term = Termination::Complete;
-            for (i, &s) in sources.iter().enumerate() {
-                let control = EvalControl {
-                    budget: remaining_budget(req.budget, stats.edges_scanned),
-                    cancel,
-                };
-                let (r, t) = eval_product_controlled_csr_with(
-                    query.nfa(),
-                    graph,
-                    s,
-                    None,
-                    mode,
-                    &control,
-                    &mut scratch,
-                );
-                for (j, &tgt) in targets.iter().enumerate() {
-                    if r.answers.binary_search(&tgt).is_ok() {
-                        matrix.set(i, j);
+            SourceSpec::Sources(items) | SourceSpec::Targets(items) => {
+                let backward = matches!(req.spec, SourceSpec::Targets(_));
+                let mut per = Vec::with_capacity(items.len());
+                let (stats, term) = per_item(items, &control, |_, item, c| {
+                    let (r, t) = search(backward, item, c);
+                    per.push(r.answers);
+                    (r.stats, t)
+                });
+                per.resize(items.len(), Vec::new());
+                EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
+            }
+            SourceSpec::Matrix { sources, targets } => {
+                let mut matrix = MatrixResult::new(sources.clone(), targets.clone());
+                let (mut stats, term) = per_item(sources, &control, |i, s, c| {
+                    let (r, t) = search(false, s, c);
+                    for (j, tgt) in targets.iter().enumerate() {
+                        if r.answers.binary_search(tgt).is_ok() {
+                            matrix.set(i, j);
+                        }
                     }
-                }
-                stats.merge(&r.stats);
-                if !t.is_complete() {
-                    term = t;
-                    break;
-                }
+                    (r.stats, t)
+                });
+                stats.answers = matrix.reachable_count();
+                matrix.stats = stats;
+                EvalResponse::from_matrix(matrix).terminated(term)
             }
-            stats.answers = matrix.reachable_count();
-            matrix.stats = stats;
-            EvalResponse::from_matrix(matrix).terminated(term)
-        }
-        SourceSpec::Conjunctive { sources, targets } => {
-            let control = req.control();
-            let res: PairSetResult = match (sources, targets) {
-                (Some(ss), Some(ts)) => eval_pairs_bound_controlled_csr_with(
-                    query.nfa(),
+            SourceSpec::Pair { source, target } => {
+                let (pair, term) = eval_product_pair_controlled_csr_with(
+                    self.nfa,
+                    self.reversed,
                     graph,
-                    ss,
-                    ts,
-                    mode,
+                    *source,
+                    *target,
+                    req.direction.unwrap_or(self.direction),
+                    self.mode,
                     &control,
                     &mut scratch,
-                ),
-                (Some(ss), None) => eval_pairs_from_sources_controlled_csr_with(
-                    query.nfa(),
-                    graph,
-                    ss,
-                    mode,
-                    &control,
-                    &mut scratch,
-                ),
-                (None, Some(ts)) => {
-                    let reversed = query.nfa().reverse();
-                    eval_pairs_to_targets_controlled_csr_with(
-                        &reversed,
+                );
+                EvalResponse::from_pair(pair).terminated(term)
+            }
+            SourceSpec::Conjunctive { sources, targets } => {
+                let (nfa, mode) = (self.nfa, self.mode);
+                EvalResponse::from_pairset(match (sources, targets) {
+                    (Some(ss), Some(ts)) => eval_pairs_bound_controlled_csr_with(
+                        nfa,
+                        graph,
+                        ss,
+                        ts,
+                        mode,
+                        &control,
+                        &mut scratch,
+                    ),
+                    (Some(ss), None) => eval_pairs_from_sources_controlled_csr_with(
+                        nfa,
+                        graph,
+                        ss,
+                        mode,
+                        &control,
+                        &mut scratch,
+                    ),
+                    (None, Some(ts)) => eval_pairs_to_targets_controlled_csr_with(
+                        self.reversed,
                         graph,
                         ts,
                         mode,
                         &control,
                         &mut scratch,
-                    )
-                }
-                (None, None) => {
-                    let seeds = seed_candidates(query.nfa(), graph, &mut scratch);
-                    eval_pairs_from_sources_controlled_csr_with(
-                        query.nfa(),
-                        graph,
-                        &seeds,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    )
-                }
-            };
-            EvalResponse::from_pairset(res)
+                    ),
+                    (None, None) => {
+                        let seeds = seed_candidates(nfa, graph, &mut scratch);
+                        eval_pairs_from_sources_controlled_csr_with(
+                            nfa,
+                            graph,
+                            &seeds,
+                            mode,
+                            &control,
+                            &mut scratch,
+                        )
+                    }
+                })
+            }
         }
     }
+}
+
+/// Run `search` once per item (with its index), each under whatever the
+/// request budget has left after the items before it; stop at the first
+/// non-complete termination. Returns the merged counters and how the loop
+/// ended.
+fn per_item(
+    items: &[Oid],
+    control: &EvalControl,
+    mut search: impl FnMut(usize, Oid, &EvalControl) -> (EvalStats, Termination),
+) -> (EvalStats, Termination) {
+    let mut stats = EvalStats::default();
+    for (i, &item) in items.iter().enumerate() {
+        let remaining = EvalControl {
+            budget: control
+                .budget
+                .map(|b| b.saturating_sub(stats.edges_scanned)),
+            cancel: control.cancel,
+        };
+        let (item_stats, term) = search(i, item, &remaining);
+        stats.merge(&item_stats);
+        if !term.is_complete() {
+            return (stats, term);
+        }
+    }
+    (stats, Termination::Complete)
 }
 
 #[cfg(test)]
@@ -776,10 +775,17 @@ mod tests {
         }
     }
 
+    /// A meet-in-the-middle pair request (run by the engine's default
+    /// dispatch, which honors the direction hint).
+    fn mitm(s: Oid, t: Oid) -> EvalRequest {
+        EvalRequest::pair(s, t).with_direction(Direction::Bidirectional)
+    }
+
     #[test]
     fn budget_caps_edges_scanned_and_answers_stay_sound() {
         let (mut ab, csr) = fig2ish();
         let q = Query::parse(&mut ab, "(a+b)*").unwrap();
+        let pq = Query::parse(&mut ab, "a.b*").unwrap();
         let full = ProductEngine.eval(&q, &csr, Oid(0)).answers;
         for budget in 0..8 {
             let resp =
@@ -794,6 +800,20 @@ mod tests {
             }
             if resp.termination == Termination::Complete {
                 assert_eq!(resp.nodes().unwrap(), full);
+            }
+            // meet-in-the-middle pairs: within budget, a found pair is
+            // definitive, a complete verdict is exact
+            for s in csr.nodes() {
+                let truth = ProductEngine.eval(&pq, &csr, s).answers;
+                for t in csr.nodes() {
+                    let resp = ProductEngine.run(&pq, &csr, &mitm(s, t).with_budget(budget));
+                    assert!(resp.stats.edges_scanned <= budget, "{s:?}->{t:?}");
+                    let reachable = resp.reachable().unwrap();
+                    assert!(!reachable || truth.contains(&t), "{s:?}->{t:?}");
+                    if resp.termination.is_complete() {
+                        assert_eq!(reachable, truth.contains(&t), "{s:?}->{t:?}");
+                    }
+                }
             }
         }
         // a generous budget completes exactly
@@ -816,6 +836,11 @@ mod tests {
                 assert!(full.contains(n));
             }
         }
+        // a meet-in-the-middle pair stops before its first level
+        let flag = Arc::new(AtomicBool::new(true));
+        let resp = ProductEngine.run(&q, &csr, &mitm(Oid(0), Oid(2)).with_cancel(flag));
+        assert_eq!(resp.termination, Termination::Cancelled);
+        assert_eq!(resp.reachable(), Some(false));
     }
 
     #[test]

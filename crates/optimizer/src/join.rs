@@ -22,12 +22,15 @@
 //! [`crate::estimated_cost`]), then always the cheapest atom *connected*
 //! to a bound variable — and assigns each atom the traversal direction its
 //! bound side dictates. [`execute_join`] runs any order through
-//! `rpq_core`'s set-valued pair kernels ([`rpq_core::pairset`]), threads
-//! one shared budget/cancellation control through every atom (a truncated
-//! atom contributes a sound subset, so the joined result is a sound subset
-//! of the CRPQ answer), and stamps one [`rpq_core::AtomStats`] record per
-//! atom in execution order — the join-order telemetry the serving layer
-//! aggregates.
+//! `rpq_core`'s per-seed set-valued pair kernels ([`rpq_core::pairset`]),
+//! threads one shared budget/cancellation control through every atom (a
+//! truncated atom contributes a sound subset, so the joined result is a
+//! sound subset of the CRPQ answer; [`rpq_core::EvalControl::UNLIMITED`]
+//! runs every atom to completion on the same path), and stamps one
+//! [`rpq_core::AtomStats`] record per atom in execution order — the
+//! join-order telemetry the serving layer aggregates. Atoms run on the
+//! caller's thread: a semijoin-restricted atom has few seeds, and one
+//! search per seed beats clearing `|Q|·|V|` lane matrices per wave.
 //!
 //! [`execute_naive`] is the deliberately-unoptimized reference: every atom
 //! evaluated independently with both sides free, then hash-joined. Tests
@@ -43,12 +46,10 @@ use std::collections::HashMap;
 
 use rpq_automata::{parse_regex_embedded, Alphabet, ParseError};
 use rpq_core::{
-    eval_pairs_bound_controlled_csr_with, eval_pairs_bound_csr_with,
-    eval_pairs_bound_parallel_csr_with, eval_pairs_from_sources_controlled_csr_with,
-    eval_pairs_from_sources_csr_with, eval_pairs_from_sources_parallel_csr_with,
-    eval_pairs_to_targets_controlled_csr_with, eval_pairs_to_targets_csr_with,
-    eval_pairs_to_targets_parallel_csr_with, seed_candidates, AtomStats, Direction, EvalControl,
-    EvalScratch, EvalStats, FrontierMode, PairSetResult, Query, ScratchPool, Termination,
+    eval_pairs_bound_controlled_csr_with, eval_pairs_from_sources_controlled_csr_with,
+    eval_pairs_from_sources_csr_with, eval_pairs_to_targets_controlled_csr_with, seed_candidates,
+    AtomStats, Direction, EvalControl, EvalScratch, EvalStats, FrontierMode, PairSetResult, Query,
+    Termination,
 };
 use rpq_graph::{GraphView, LabelStats, Oid};
 
@@ -433,7 +434,7 @@ pub struct HeadBindings<'a> {
 /// propagation: each atom evaluates with its bound side restricted to the
 /// distinct values surviving the join so far (or to the request's head
 /// bindings before the first atom touches that variable), through the
-/// set-valued pair kernels of [`rpq_core::pairset`].
+/// per-seed set-valued pair kernels of [`rpq_core::pairset`].
 ///
 /// `control` threads one shared `edges_scanned` budget and cancellation
 /// flag through every atom. A truncated atom contributes a sound *subset*
@@ -443,45 +444,19 @@ pub struct HeadBindings<'a> {
 /// outcome. One [`AtomStats`] record per atom lands in `stats.atoms` in
 /// execution order (atoms never started after a cancellation are recorded
 /// with `direction: None` and zero work).
-pub fn execute_join<G: GraphView + Sync>(
+pub fn execute_join<G: GraphView>(
     crpq: &Crpq,
     order: &[usize],
     graph: &G,
     heads: HeadBindings<'_>,
     mode: FrontierMode,
     control: &EvalControl<'_>,
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let pool = ScratchPool::new();
-    execute_join_parallel(crpq, order, graph, heads, mode, control, 1, &pool, scratch)
-}
-
-/// [`execute_join`] with intra-query parallelism: uncontrolled atom
-/// evaluations fan their independent 64-lane seed waves across up to `dop`
-/// workers drawing per-worker arenas from `pool` (the engine's shared
-/// [`ScratchPool`]). Semijoin propagation is inherently sequential between
-/// atoms — each atom's bound side comes from the previous join step — so
-/// the parallelism lives *inside* each atom's pair-set kernel, where the
-/// waves are independent. `dop ≤ 1` is exactly [`execute_join`].
-/// Controlled atoms keep the shared-budget seed loop (its
-/// whatever-the-budget-has-left contract is order-dependent).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_join_parallel<G: GraphView + Sync>(
-    crpq: &Crpq,
-    order: &[usize],
-    graph: &G,
-    heads: HeadBindings<'_>,
-    mode: FrontierMode,
-    control: &EvalControl<'_>,
-    dop: usize,
-    pool: &ScratchPool,
     scratch: &mut EvalScratch,
 ) -> PairSetResult {
     assert_eq!(order.len(), crpq.atoms.len(), "order must cover every atom");
     let mut rel: Option<Relation> = None;
     let mut stats = EvalStats::default();
     let mut term = Termination::Complete;
-    let controlled = control.budget.is_some() || control.cancel.is_some();
 
     // Pre-bindings for head variables, consumed the first time the
     // variable joins the relation.
@@ -529,10 +504,7 @@ pub fn execute_join_parallel<G: GraphView + Sync>(
             u_vals.as_deref(),
             v_vals.as_deref(),
             mode,
-            controlled,
             &per_atom,
-            dop,
-            pool,
             scratch,
         );
         if !res.termination.is_complete() && term.is_complete() {
@@ -612,68 +584,47 @@ pub fn execute_join_parallel<G: GraphView + Sync>(
     }
 }
 
-/// Evaluate one atom with the given bound sides through the pair-set
-/// kernels, returning the binding relation and the direction actually run.
-#[allow(clippy::too_many_arguments)]
-fn eval_atom<G: GraphView + Sync>(
+/// Evaluate one atom with the given bound sides through the per-seed
+/// pair-set kernels, returning the binding relation and the direction
+/// actually run.
+fn eval_atom<G: GraphView>(
     atom: &CrpqAtom,
     graph: &G,
     u_vals: Option<&[Oid]>,
     v_vals: Option<&[Oid]>,
     mode: FrontierMode,
-    controlled: bool,
     control: &EvalControl<'_>,
-    dop: usize,
-    pool: &ScratchPool,
     scratch: &mut EvalScratch,
 ) -> (PairSetResult, Direction) {
     let nfa = atom.query.nfa();
     match (u_vals, v_vals) {
-        (Some(ss), Some(ts)) => {
-            let r = if controlled {
-                eval_pairs_bound_controlled_csr_with(nfa, graph, ss, ts, mode, control, scratch)
-            } else if dop > 1 {
-                eval_pairs_bound_parallel_csr_with(nfa, graph, ss, ts, dop, pool, scratch)
-            } else {
-                eval_pairs_bound_csr_with(nfa, graph, ss, ts, scratch)
-            };
-            (r, Direction::Bidirectional)
-        }
-        (Some(ss), None) => {
-            let r = if controlled {
-                eval_pairs_from_sources_controlled_csr_with(nfa, graph, ss, mode, control, scratch)
-            } else if dop > 1 {
-                eval_pairs_from_sources_parallel_csr_with(nfa, graph, ss, dop, pool, scratch)
-            } else {
-                eval_pairs_from_sources_csr_with(nfa, graph, ss, scratch)
-            };
-            (r, Direction::Forward)
-        }
-        (None, Some(ts)) => {
-            let reversed = nfa.reverse();
-            let r = if controlled {
-                eval_pairs_to_targets_controlled_csr_with(
-                    &reversed, graph, ts, mode, control, scratch,
-                )
-            } else if dop > 1 {
-                eval_pairs_to_targets_parallel_csr_with(&reversed, graph, ts, dop, pool, scratch)
-            } else {
-                eval_pairs_to_targets_csr_with(&reversed, graph, ts, scratch)
-            };
-            (r, Direction::Backward)
-        }
+        (Some(ss), Some(ts)) => (
+            eval_pairs_bound_controlled_csr_with(nfa, graph, ss, ts, mode, control, scratch),
+            Direction::Bidirectional,
+        ),
+        (Some(ss), None) => (
+            eval_pairs_from_sources_controlled_csr_with(nfa, graph, ss, mode, control, scratch),
+            Direction::Forward,
+        ),
+        (None, Some(ts)) => (
+            eval_pairs_to_targets_controlled_csr_with(
+                &nfa.reverse(),
+                graph,
+                ts,
+                mode,
+                control,
+                scratch,
+            ),
+            Direction::Backward,
+        ),
         (None, None) => {
             let seeds = seed_candidates(nfa, graph, scratch);
-            let r = if controlled {
+            (
                 eval_pairs_from_sources_controlled_csr_with(
                     nfa, graph, &seeds, mode, control, scratch,
-                )
-            } else if dop > 1 {
-                eval_pairs_from_sources_parallel_csr_with(nfa, graph, &seeds, dop, pool, scratch)
-            } else {
-                eval_pairs_from_sources_csr_with(nfa, graph, &seeds, scratch)
-            };
-            (r, Direction::Forward)
+                ),
+                Direction::Forward,
+            )
         }
     }
 }

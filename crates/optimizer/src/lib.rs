@@ -57,8 +57,7 @@ pub mod views;
 pub use analysis::{analyze, certify_rewrite, restrict_to_live_symbols, Analysis, AnalysisFacts};
 pub use cost::{estimated_cost, measured_cost, StaticCost};
 pub use join::{
-    execute_join, execute_join_parallel, execute_naive, parse_crpq, plan_join, Crpq, CrpqAtom,
-    HeadBindings, JoinPlan, Var,
+    execute_join, execute_naive, parse_crpq, plan_join, Crpq, CrpqAtom, HeadBindings, JoinPlan, Var,
 };
 pub use planned::{Direction, Plan, PlannedEngine, PlannerConfig};
 pub use planner::{optimize, optimize_with_stats, Optimized, RewriteCache};

@@ -40,15 +40,18 @@
 //! [`rpq_core::EvalStats`] this engine produces, together with the chosen
 //! [`Direction`] — the observability seam of the cost-calibration work.
 //!
-//! Through the [`Engine`] trait ([`Engine::eval`] / [`Engine::eval_batch`])
-//! the planner affects only *what* the inner engine runs — set-semantics
-//! answers are direction-independent, so the wrapper provably returns the
-//! inner engine's answer set. The direction choice pays off on the
-//! scenarios the reverse CSR opens: [`PlannedEngine::eval_to`]
-//! (target-bound) and [`PlannedEngine::eval_pair`] ((source, target)
-//! reachability — bench `t12_direction_choice`); [`PlannedEngine::eval_view`]
-//! evaluates over any [`GraphView`] (e.g. a delta overlay) with the same
-//! memo.
+//! Through [`Engine::eval`] / [`Engine::eval_batch`] the planner affects
+//! only *what* the inner engine runs — set-semantics answers are
+//! direction-independent, so the wrapper provably returns the inner
+//! engine's answer set. Every other question goes through
+//! [`PlannedEngine::run_view`], over any [`GraphView`] (the `CsrGraph`
+//! snapshot or a delta overlay): one plan probe, then
+//! [`rpq_core::Dispatch::run`] — the single request-to-kernel mapping —
+//! with the plan's automata, depth cap and direction. That is where the
+//! direction choice pays off: target-bound requests run backward over the
+//! reverse CSR, and pair requests run the planned direction (bench
+//! `t12_direction_choice`). Budgets and cancellation ride the same path:
+//! a request without them runs under a control that never binds.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,27 +63,14 @@ use rpq_automata::{Alphabet, Nfa, Regex, StateId, Symbol};
 use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_core::{
-    eval_pairs_bound_controlled_csr_with, eval_pairs_bound_csr_with,
-    eval_pairs_bound_parallel_csr_with, eval_pairs_from_sources_controlled_csr_with,
-    eval_pairs_from_sources_csr_with, eval_pairs_from_sources_parallel_csr_with,
-    eval_pairs_to_targets_controlled_csr_with, eval_pairs_to_targets_csr_with,
-    eval_pairs_to_targets_parallel_csr_with, eval_product_backward_controlled_reversed_csr_with,
-    eval_product_backward_parallel_reversed_csr_with, eval_product_backward_reversed_csr_with,
-    eval_product_batch_csr_with, eval_product_batch_parallel_csr_with,
-    eval_product_bounded_backward_reversed_csr_with, eval_product_bounded_csr_with,
-    eval_product_controlled_csr_with, eval_product_csr_with, eval_product_matrix_csr_with,
-    eval_product_pair_backward_reversed_csr_with, eval_product_pair_controlled_csr_with,
-    eval_product_pair_forward_csr_with, eval_product_pair_reversed_csr_with,
-    eval_product_parallel_csr_with, eval_product_to_batch_csr_with,
-    eval_product_to_batch_parallel_csr_with, seed_candidates, Answers, BatchResult, Engine,
-    EvalControl, EvalRequest, EvalResponse, EvalResult, EvalStats, FrontierMode, MatrixResult,
-    PairResult, PairSetResult, Query, ScratchPool, SourceSpec, Termination, WorkerPool,
-    PAR_LEVEL_THRESHOLD, PULL_SWEEP_DISCOUNT,
+    Answers, BatchResult, Dispatch, Engine, EvalRequest, EvalResponse, EvalResult, EvalStats,
+    FrontierMode, MatrixResult, PairResult, PairSetResult, Query, ScratchPool, SourceSpec,
+    Termination, WorkerPool, PAR_LEVEL_THRESHOLD, PULL_SWEEP_DISCOUNT,
 };
 use rpq_graph::{CsrGraph, GraphView, LabelStats, Oid};
 
 use crate::analysis::{analyze, AnalysisFacts};
-use crate::join::{execute_join_parallel, plan_join, Crpq, HeadBindings, JoinPlan};
+use crate::join::{execute_join, plan_join, Crpq, HeadBindings, JoinPlan};
 use crate::planner::optimize_with_stats;
 
 pub use rpq_core::Direction;
@@ -502,131 +492,6 @@ impl<E> PlannedEngine<E> {
         stats.analysis_ns += facts.analysis_ns;
     }
 
-    /// The statically-empty fast path: an [`EvalResult`] produced without
-    /// touching the graph — zero edges scanned, no frontier allocated.
-    fn empty_result(&self, plan: &Plan, hit: bool) -> EvalResult {
-        let mut res = EvalResult {
-            answers: Vec::new(),
-            stats: EvalStats::default(),
-        };
-        self.stamp(&mut res.stats, plan, hit);
-        res
-    }
-
-    /// Evaluate `query` from `source` over **any** [`GraphView`] (e.g. a
-    /// `rpq_graph::DeltaGraph` absorbing writes) with the epoch-aware plan
-    /// memo: the planned (rewritten) query runs through the generic
-    /// product BFS. The wrapped engine's strategy applies on the `Engine`
-    /// trait's `CsrGraph` entry points; views always use the product
-    /// search, which computes the same answer set.
-    pub fn eval_view<G: GraphView>(&self, query: &Query, graph: &G, source: Oid) -> EvalResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            return self.empty_result(&plan, hit);
-        }
-        let mut scratch = self.scratch.checkout();
-        let mut res = match plan.facts.max_word_len {
-            Some(cap) => eval_product_bounded_csr_with(
-                plan.query.nfa(),
-                graph,
-                source,
-                cap,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-            None => eval_product_csr_with(
-                plan.query.nfa(),
-                graph,
-                source,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-        };
-        self.stamp(&mut res.stats, &plan, hit);
-        res
-    }
-
-    /// Target-bound evaluation `{o | target ∈ p(o, I)}` over any
-    /// [`GraphView`]: rewrite, then run the backward product BFS over the
-    /// reverse adjacency, reusing the plan's cached reversed NFA.
-    pub fn eval_to<G: GraphView>(&self, query: &Query, graph: &G, target: Oid) -> EvalResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            return self.empty_result(&plan, hit);
-        }
-        let mut scratch = self.scratch.checkout();
-        let mut res = match plan.facts.max_word_len {
-            Some(cap) => eval_product_bounded_backward_reversed_csr_with(
-                &plan.reversed,
-                graph,
-                target,
-                cap,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-            None => eval_product_backward_reversed_csr_with(
-                &plan.reversed,
-                graph,
-                target,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-        };
-        self.stamp(&mut res.stats, &plan, hit);
-        res
-    }
-
-    /// Pair reachability `target ∈ p(source, I)?` by the planned
-    /// direction: forward with early exit, backward with early exit, or
-    /// meet-in-the-middle. Generic over any [`GraphView`].
-    pub fn eval_pair<G: GraphView>(
-        &self,
-        query: &Query,
-        graph: &G,
-        source: Oid,
-        target: Oid,
-    ) -> PairResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            let mut res = PairResult {
-                reachable: false,
-                stats: EvalStats::default(),
-            };
-            self.stamp(&mut res.stats, &plan, hit);
-            return res;
-        }
-        let nfa = plan.query.nfa();
-        let mut scratch = self.scratch.checkout();
-        let mut res = match plan.direction {
-            Direction::Forward => eval_product_pair_forward_csr_with(
-                nfa,
-                graph,
-                source,
-                target,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-            Direction::Backward => eval_product_pair_backward_reversed_csr_with(
-                &plan.reversed,
-                graph,
-                source,
-                target,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-            Direction::Bidirectional => eval_product_pair_reversed_csr_with(
-                nfa,
-                &plan.reversed,
-                graph,
-                source,
-                target,
-                &mut scratch,
-            ),
-        };
-        self.stamp(&mut res.stats, &plan, hit);
-        res
-    }
-
     /// Stamp plan observability into a response — both the aggregated
     /// response counters and the payload's embedded stats, so legacy
     /// conversions ([`EvalResponse::into_batch`] etc.) carry the plan
@@ -643,17 +508,14 @@ impl<E> PlannedEngine<E> {
 
     /// The unified [`EvalRequest`] entry point over **any** [`GraphView`] —
     /// the form the serving layer drives: one plan probe per request
-    /// (rewrite + direction + analysis, memoized per epoch lineage), every
-    /// [`SourceSpec`] arm, and uniform budget/cancellation controls.
+    /// (rewrite + direction + analysis, memoized per epoch lineage), then
+    /// the request runs through [`Dispatch::run`] with the plan's automata,
+    /// its finite-language depth cap, its direction for pairs (a request's
+    /// direction hint wins), and the degree of parallelism leased from the
+    /// engine's [`WorkerPool`]. The depth cap composes with a fetch budget:
+    /// whichever binds first ends the search.
     ///
     /// Statically empty queries answer without touching the graph.
-    /// Finite-language plans cap the product BFS depth at the longest
-    /// accepted word — on controlled requests the cap *composes* with the
-    /// fetch budget (whichever binds first ends the search). Uncontrolled
-    /// multi-item arms run the bit-parallel lane kernels with the plan's
-    /// cached reversed automaton; the pair arm honors the request's
-    /// direction hint over the planned direction when one is given.
-    ///
     /// [`Engine::run`] on a `CsrGraph` delegates here.
     pub fn run_view<G: GraphView + Sync>(
         &self,
@@ -662,6 +524,17 @@ impl<E> PlannedEngine<E> {
         req: &EvalRequest,
     ) -> EvalResponse {
         let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
+        self.run_planned(&plan, hit, graph, req)
+    }
+
+    /// [`PlannedEngine::run_view`] once the plan is in hand.
+    fn run_planned<G: GraphView + Sync>(
+        &self,
+        plan: &Plan,
+        hit: bool,
+        graph: &G,
+        req: &EvalRequest,
+    ) -> EvalResponse {
         if plan.facts.statically_empty {
             let empty_batch =
                 |n: usize| BatchResult::from_per_source(vec![Vec::new(); n], EvalStats::default());
@@ -686,481 +559,23 @@ impl<E> PlannedEngine<E> {
                     Termination::Complete,
                 )),
             };
-            return self.stamped(resp, &plan, hit);
+            return self.stamped(resp, plan, hit);
         }
         // One worker-pool lease per request: the permits granted here cap
-        // every parallel level/wave this request runs, and return to the
-        // pool when the response is built.
-        let lease = self.workers.lease(self.decide_dop(&plan, graph));
-        let dop = lease.dop();
-        let resp = if req.is_controlled() {
-            self.run_view_controlled(&plan, graph, req, dop)
-        } else {
-            self.run_view_uncontrolled(&plan, graph, req, dop)
-        };
-        self.stamped(resp, &plan, hit)
-    }
-
-    /// The uncontrolled arms of [`PlannedEngine::run_view`]: the planned
-    /// query through the generic product kernels, bounded by the plan's
-    /// finite-language depth cap where one exists.
-    fn run_view_uncontrolled<G: GraphView + Sync>(
-        &self,
-        plan: &Plan,
-        graph: &G,
-        req: &EvalRequest,
-        dop: usize,
-    ) -> EvalResponse {
-        let mode = self.effective_mode(req.frontier_mode);
-        let cap = plan.facts.max_word_len;
-        let mut scratch = self.scratch.checkout();
-        match &req.spec {
-            SourceSpec::Source(s) => EvalResponse::from_nodes(if dop > 1 {
-                let (res, _) = eval_product_parallel_csr_with(
-                    plan.query.nfa(),
-                    graph,
-                    *s,
-                    cap,
-                    mode,
-                    &EvalControl::UNLIMITED,
-                    dop,
-                    &self.scratch,
-                    &mut scratch,
-                );
-                res
-            } else {
-                match cap {
-                    Some(cap) => eval_product_bounded_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        *s,
-                        cap,
-                        mode,
-                        &mut scratch,
-                    ),
-                    None => eval_product_csr_with(plan.query.nfa(), graph, *s, mode, &mut scratch),
-                }
-            }),
-            SourceSpec::Sources(ss) => EvalResponse::from_batch(if dop > 1 {
-                eval_product_batch_parallel_csr_with(
-                    plan.query.nfa(),
-                    graph,
-                    ss,
-                    dop,
-                    &self.scratch,
-                    &mut scratch,
-                )
-            } else {
-                eval_product_batch_csr_with(plan.query.nfa(), graph, ss, &mut scratch)
-            }),
-            SourceSpec::Target(t) => EvalResponse::from_nodes(if dop > 1 {
-                let (res, _) = eval_product_backward_parallel_reversed_csr_with(
-                    &plan.reversed,
-                    graph,
-                    *t,
-                    cap,
-                    mode,
-                    &EvalControl::UNLIMITED,
-                    dop,
-                    &self.scratch,
-                    &mut scratch,
-                );
-                res
-            } else {
-                match cap {
-                    Some(cap) => eval_product_bounded_backward_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *t,
-                        cap,
-                        mode,
-                        &mut scratch,
-                    ),
-                    None => eval_product_backward_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *t,
-                        mode,
-                        &mut scratch,
-                    ),
-                }
-            }),
-            SourceSpec::Targets(ts) => match cap {
-                // Exact depth caps beat lane sharing on short words: keep
-                // the per-target bounded loop (mirrors `eval_to_batch`).
-                Some(cap) => {
-                    let mut stats = EvalStats::default();
-                    let mut per = Vec::with_capacity(ts.len());
-                    for &t in ts {
-                        let r = eval_product_bounded_backward_reversed_csr_with(
-                            &plan.reversed,
-                            graph,
-                            t,
-                            cap,
-                            mode,
-                            &mut scratch,
-                        );
-                        stats.merge(&r.stats);
-                        per.push(r.answers);
-                    }
-                    EvalResponse::from_batch(BatchResult::from_per_source(per, stats))
-                }
-                None => EvalResponse::from_batch(if dop > 1 {
-                    eval_product_to_batch_parallel_csr_with(
-                        &plan.reversed,
-                        graph,
-                        ts,
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    )
-                } else {
-                    eval_product_to_batch_csr_with(&plan.reversed, graph, ts, &mut scratch)
-                }),
-            },
-            SourceSpec::Pair { source, target } => {
-                let direction = req.direction.unwrap_or(plan.direction);
-                EvalResponse::from_pair(match direction {
-                    Direction::Forward => eval_product_pair_forward_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        *source,
-                        *target,
-                        mode,
-                        &mut scratch,
-                    ),
-                    Direction::Backward => eval_product_pair_backward_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *source,
-                        *target,
-                        mode,
-                        &mut scratch,
-                    ),
-                    Direction::Bidirectional => eval_product_pair_reversed_csr_with(
-                        plan.query.nfa(),
-                        &plan.reversed,
-                        graph,
-                        *source,
-                        *target,
-                        &mut scratch,
-                    ),
-                })
-            }
-            SourceSpec::Matrix { sources, targets } => {
-                EvalResponse::from_matrix(eval_product_matrix_csr_with(
-                    plan.query.nfa(),
-                    graph,
-                    sources,
-                    targets,
-                    &mut scratch,
-                ))
-            }
-            SourceSpec::Conjunctive { sources, targets } => {
-                let res = match (sources, targets) {
-                    (Some(ss), Some(ts)) if dop > 1 => eval_pairs_bound_parallel_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        ss,
-                        ts,
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    ),
-                    (Some(ss), Some(ts)) => {
-                        eval_pairs_bound_csr_with(plan.query.nfa(), graph, ss, ts, &mut scratch)
-                    }
-                    (Some(ss), None) if dop > 1 => eval_pairs_from_sources_parallel_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        ss,
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    ),
-                    (Some(ss), None) => {
-                        eval_pairs_from_sources_csr_with(plan.query.nfa(), graph, ss, &mut scratch)
-                    }
-                    // The plan's cached reversed automaton serves the
-                    // target-bound form — no per-request reversal.
-                    (None, Some(ts)) if dop > 1 => eval_pairs_to_targets_parallel_csr_with(
-                        &plan.reversed,
-                        graph,
-                        ts,
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    ),
-                    (None, Some(ts)) => {
-                        eval_pairs_to_targets_csr_with(&plan.reversed, graph, ts, &mut scratch)
-                    }
-                    (None, None) => {
-                        let seeds = seed_candidates(plan.query.nfa(), graph, &mut scratch);
-                        if dop > 1 {
-                            eval_pairs_from_sources_parallel_csr_with(
-                                plan.query.nfa(),
-                                graph,
-                                &seeds,
-                                dop,
-                                &self.scratch,
-                                &mut scratch,
-                            )
-                        } else {
-                            eval_pairs_from_sources_csr_with(
-                                plan.query.nfa(),
-                                graph,
-                                &seeds,
-                                &mut scratch,
-                            )
-                        }
-                    }
-                };
-                EvalResponse::from_pairset(res)
-            }
+        // every parallel level this request runs, and return to the pool
+        // when the response is built.
+        let lease = self.workers.lease(self.decide_dop(plan, graph));
+        let resp = Dispatch {
+            nfa: plan.query.nfa(),
+            reversed: &plan.reversed,
+            depth_cap: plan.facts.max_word_len,
+            direction: plan.direction,
+            mode: self.effective_mode(req.frontier_mode),
+            dop: lease.dop(),
+            pool: &self.scratch,
         }
-    }
-
-    /// The controlled arms of [`PlannedEngine::run_view`]: the planned
-    /// query through the budget- and cancellation-aware kernels, with the
-    /// finite-language depth cap composed into every search. Multi-item
-    /// arms share one budget and stop at the first non-complete
-    /// termination (unexplored items report empty sets — a sound subset).
-    fn run_view_controlled<G: GraphView + Sync>(
-        &self,
-        plan: &Plan,
-        graph: &G,
-        req: &EvalRequest,
-        dop: usize,
-    ) -> EvalResponse {
-        let mode = self.effective_mode(req.frontier_mode);
-        let cap = plan.facts.max_word_len;
-        let cancel = req.cancel.as_deref();
-        let mut scratch = self.scratch.checkout();
-        match &req.spec {
-            SourceSpec::Source(s) => {
-                let (res, term) = if dop > 1 {
-                    eval_product_parallel_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        *s,
-                        cap,
-                        mode,
-                        &req.control(),
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    )
-                } else {
-                    eval_product_controlled_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        *s,
-                        cap,
-                        mode,
-                        &req.control(),
-                        &mut scratch,
-                    )
-                };
-                EvalResponse::from_nodes(res).terminated(term)
-            }
-            SourceSpec::Target(t) => {
-                let (res, term) = if dop > 1 {
-                    eval_product_backward_parallel_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *t,
-                        cap,
-                        mode,
-                        &req.control(),
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    )
-                } else {
-                    eval_product_backward_controlled_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *t,
-                        cap,
-                        mode,
-                        &req.control(),
-                        &mut scratch,
-                    )
-                };
-                EvalResponse::from_nodes(res).terminated(term)
-            }
-            SourceSpec::Sources(ss) => {
-                let mut stats = EvalStats::default();
-                let mut per = Vec::with_capacity(ss.len());
-                let mut term = Termination::Complete;
-                for &s in ss {
-                    let control = EvalControl {
-                        budget: req.budget.map(|b| b.saturating_sub(stats.edges_scanned)),
-                        cancel,
-                    };
-                    let (r, t) = if dop > 1 {
-                        eval_product_parallel_csr_with(
-                            plan.query.nfa(),
-                            graph,
-                            s,
-                            cap,
-                            mode,
-                            &control,
-                            dop,
-                            &self.scratch,
-                            &mut scratch,
-                        )
-                    } else {
-                        eval_product_controlled_csr_with(
-                            plan.query.nfa(),
-                            graph,
-                            s,
-                            cap,
-                            mode,
-                            &control,
-                            &mut scratch,
-                        )
-                    };
-                    stats.merge(&r.stats);
-                    per.push(r.answers);
-                    if !t.is_complete() {
-                        term = t;
-                        break;
-                    }
-                }
-                per.resize(ss.len(), Vec::new());
-                EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
-            }
-            SourceSpec::Targets(ts) => {
-                let mut stats = EvalStats::default();
-                let mut per = Vec::with_capacity(ts.len());
-                let mut term = Termination::Complete;
-                for &t in ts {
-                    let control = EvalControl {
-                        budget: req.budget.map(|b| b.saturating_sub(stats.edges_scanned)),
-                        cancel,
-                    };
-                    let (r, tt) = if dop > 1 {
-                        eval_product_backward_parallel_reversed_csr_with(
-                            &plan.reversed,
-                            graph,
-                            t,
-                            cap,
-                            mode,
-                            &control,
-                            dop,
-                            &self.scratch,
-                            &mut scratch,
-                        )
-                    } else {
-                        eval_product_backward_controlled_reversed_csr_with(
-                            &plan.reversed,
-                            graph,
-                            t,
-                            cap,
-                            mode,
-                            &control,
-                            &mut scratch,
-                        )
-                    };
-                    stats.merge(&r.stats);
-                    per.push(r.answers);
-                    if !tt.is_complete() {
-                        term = tt;
-                        break;
-                    }
-                }
-                per.resize(ts.len(), Vec::new());
-                EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
-            }
-            SourceSpec::Pair { source, target } => {
-                let (pair, term) = eval_product_pair_controlled_csr_with(
-                    plan.query.nfa(),
-                    graph,
-                    *source,
-                    *target,
-                    mode,
-                    &req.control(),
-                    &mut scratch,
-                );
-                EvalResponse::from_pair(pair).terminated(term)
-            }
-            SourceSpec::Matrix { sources, targets } => {
-                let mut matrix = MatrixResult::new(sources.clone(), targets.clone());
-                let mut stats = EvalStats::default();
-                let mut term = Termination::Complete;
-                for (i, &s) in sources.iter().enumerate() {
-                    let control = EvalControl {
-                        budget: req.budget.map(|b| b.saturating_sub(stats.edges_scanned)),
-                        cancel,
-                    };
-                    let (r, t) = eval_product_controlled_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        s,
-                        cap,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    );
-                    for (j, &tgt) in targets.iter().enumerate() {
-                        if r.answers.binary_search(&tgt).is_ok() {
-                            matrix.set(i, j);
-                        }
-                    }
-                    stats.merge(&r.stats);
-                    if !t.is_complete() {
-                        term = t;
-                        break;
-                    }
-                }
-                stats.answers = matrix.reachable_count();
-                matrix.stats = stats;
-                EvalResponse::from_matrix(matrix).terminated(term)
-            }
-            SourceSpec::Conjunctive { sources, targets } => {
-                let control = req.control();
-                let res = match (sources, targets) {
-                    (Some(ss), Some(ts)) => eval_pairs_bound_controlled_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        ss,
-                        ts,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    ),
-                    (Some(ss), None) => eval_pairs_from_sources_controlled_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        ss,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    ),
-                    (None, Some(ts)) => eval_pairs_to_targets_controlled_csr_with(
-                        &plan.reversed,
-                        graph,
-                        ts,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    ),
-                    (None, None) => {
-                        let seeds = seed_candidates(plan.query.nfa(), graph, &mut scratch);
-                        eval_pairs_from_sources_controlled_csr_with(
-                            plan.query.nfa(),
-                            graph,
-                            &seeds,
-                            mode,
-                            &control,
-                            &mut scratch,
-                        )
-                    }
-                };
-                EvalResponse::from_pairset(res)
-            }
-        }
+        .run(graph, req);
+        self.stamped(resp, plan, hit)
     }
 
     /// The memoized join plan for a conjunctive query over `graph`, plus
@@ -1220,7 +635,7 @@ impl<E> PlannedEngine<E> {
     /// response carries [`Answers::Bindings`] with per-atom
     /// `stats.atoms` telemetry in execution order, and plan-memo
     /// hit/miss counters stamped like every other planned evaluation.
-    pub fn run_crpq<G: GraphView + Sync>(
+    pub fn run_crpq<G: GraphView>(
         &self,
         crpq: &Crpq,
         graph: &G,
@@ -1262,27 +677,14 @@ impl<E> PlannedEngine<E> {
             heads.sources.is_some(),
             heads.targets.is_some(),
         );
-        let mode = self.effective_mode(req.frontier_mode);
-        // CRPQ DoP: atoms scan whole label classes, so the graph's total
-        // edge mass is the frontier-size proxy; small graphs stay on the
-        // sequential executor.
-        let target_dop =
-            if self.workers.parallelism() > 1 && graph.num_edges() >= PAR_LEVEL_THRESHOLD {
-                self.workers.parallelism()
-            } else {
-                1
-            };
-        let lease = self.workers.lease(target_dop);
         let mut scratch = self.scratch.checkout();
-        let res = execute_join_parallel(
+        let res = execute_join(
             crpq,
             &plan.order,
             graph,
             heads,
-            mode,
+            self.effective_mode(req.frontier_mode),
             &req.control(),
-            lease.dop(),
-            &self.scratch,
             &mut scratch,
         );
         let mut resp = EvalResponse::from_pairset(res);
@@ -1337,24 +739,14 @@ impl<E: Engine> Engine for PlannedEngine<E> {
     /// with no constraints it is identical unconditionally.
     fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult {
         let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            return self.empty_result(&plan, hit);
-        }
-        // Finite-language fast path: the longest accepted word bounds the
-        // product BFS depth exactly, so the bounded search beats any
-        // unbounded strategy the inner engine might pick.
-        if let Some(cap) = plan.facts.max_word_len {
-            let mut scratch = self.scratch.checkout();
-            let mut res = eval_product_bounded_csr_with(
-                plan.query.nfa(),
-                graph,
-                source,
-                cap,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            );
-            self.stamp(&mut res.stats, &plan, hit);
-            return res;
+        // Statically empty plans answer without touching the graph, and a
+        // finite language's longest word bounds the product BFS depth
+        // exactly — the bounded search beats any unbounded strategy the
+        // inner engine might pick. Both are `run_view`'s single-source arm.
+        if plan.facts.statically_empty || plan.facts.max_word_len.is_some() {
+            return self
+                .run_planned(&plan, hit, graph, &EvalRequest::source(source))
+                .into_eval_result();
         }
         let mut res = self.inner.eval(&plan.query, graph, source);
         self.stamp(&mut res.stats, &plan, hit);
@@ -1377,55 +769,6 @@ impl<E: Engine> Engine for PlannedEngine<E> {
         let mut res = self.inner.eval_batch(&plan.query, graph, sources);
         self.stamp(&mut res.stats, &plan, hit);
         res
-    }
-
-    /// Target-bound evaluation via the plan's cached reversed automaton
-    /// (the inherent [`PlannedEngine::eval_to`], exposed through the
-    /// trait).
-    fn eval_to(&self, query: &Query, graph: &CsrGraph, target: Oid) -> EvalResult {
-        PlannedEngine::eval_to(self, query, graph, target)
-    }
-
-    /// One plan serves the whole multi-target batch. The unbounded path
-    /// runs the bit-parallel backward wave
-    /// ([`rpq_core::eval_product_to_batch_csr_with`]) with the plan's
-    /// cached reversed automaton — waves of up to 64 target lanes, one
-    /// reverse-row pass advancing every pending target at once. Finite
-    /// languages keep the per-target bounded loop (the exact depth cap
-    /// beats lane sharing on short words).
-    fn eval_to_batch(&self, query: &Query, graph: &CsrGraph, targets: &[Oid]) -> BatchResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        let mut stats = EvalStats::default();
-        if plan.facts.statically_empty {
-            self.stamp(&mut stats, &plan, hit);
-            return BatchResult::from_per_source(vec![Vec::new(); targets.len()], stats);
-        }
-        let mut scratch = self.scratch.checkout();
-        match plan.facts.max_word_len {
-            Some(cap) => {
-                let mut per_target = Vec::with_capacity(targets.len());
-                for &t in targets {
-                    let r = eval_product_bounded_backward_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        t,
-                        cap,
-                        FrontierMode::Hybrid,
-                        &mut scratch,
-                    );
-                    stats.merge(&r.stats);
-                    per_target.push(r.answers);
-                }
-                self.stamp(&mut stats, &plan, hit);
-                BatchResult::from_per_source(per_target, stats)
-            }
-            None => {
-                let mut res =
-                    eval_product_to_batch_csr_with(&plan.reversed, graph, targets, &mut scratch);
-                self.stamp(&mut res.stats, &plan, hit);
-                res
-            }
-        }
     }
 }
 
@@ -1564,7 +907,9 @@ mod tests {
         assert!(plan.backward_cost < plan.forward_cost);
 
         let (s, t) = (names["s"], names["t"]);
-        let planned_pair = planned.eval_pair(&query, &graph, s, t);
+        let planned_pair = planned
+            .run_view(&query, &graph, &EvalRequest::pair(s, t))
+            .into_pair();
         let forced_forward = rpq_core::eval_product_pair_forward_csr(query.nfa(), &graph, s, t);
         assert!(planned_pair.reachable && forced_forward.reachable);
         assert_eq!(planned_pair.stats.plan_direction, Some(Direction::Backward));
@@ -1576,7 +921,9 @@ mod tests {
         );
 
         // the target-bound scenario uses the same rare entry
-        let to = planned.eval_to(&query, &graph, t);
+        let to = planned
+            .run_view(&query, &graph, &EvalRequest::target(t))
+            .into_eval_result();
         assert_eq!(to.answers, vec![s]);
     }
 
@@ -1745,7 +1092,7 @@ mod tests {
         assert_eq!(planned.plan_cache_hits(), 1);
 
         // evaluation over the delta view reports the hit
-        let res = planned.eval_view(&query, &dg, Oid(0));
+        let res = planned.run_view(&query, &dg, &EvalRequest::source(Oid(0)));
         assert_eq!(res.stats.plan_cache_hits, 1);
         assert_eq!(res.stats.plan_direction, Some(p1.direction));
 
@@ -1802,7 +1149,14 @@ mod tests {
         let batch = Engine::eval_to_batch(&planned, &query, &graph, &targets);
         let per = batch.per_source().unwrap();
         for (i, &t) in targets.iter().enumerate() {
-            assert_eq!(per[i], planned.eval_to(&query, &graph, t).answers, "{t:?}");
+            assert_eq!(
+                per[i],
+                planned
+                    .run_view(&query, &graph, &EvalRequest::target(t))
+                    .into_eval_result()
+                    .answers,
+                "{t:?}"
+            );
         }
         // one plan for the whole batch
         assert_eq!(
@@ -1853,11 +1207,17 @@ mod tests {
         assert_eq!(res.stats.symbols_pruned, 1);
         assert!(res.stats.finite_language);
 
-        let view = planned.eval_view(&query, &graph, x);
+        let view = planned
+            .run_view(&query, &graph, &EvalRequest::source(x))
+            .into_eval_result();
         assert!(view.answers.is_empty() && view.stats.edges_scanned == 0);
-        let to = planned.eval_to(&query, &graph, y);
+        let to = planned
+            .run_view(&query, &graph, &EvalRequest::target(y))
+            .into_eval_result();
         assert!(to.answers.is_empty() && to.stats.edges_scanned == 0);
-        let pair = planned.eval_pair(&query, &graph, x, x);
+        let pair = planned
+            .run_view(&query, &graph, &EvalRequest::pair(x, x))
+            .into_pair();
         assert!(!pair.reachable && pair.stats.edges_scanned == 0);
 
         let batch = Engine::eval_batch(&planned, &query, &graph, &[x, y]);
@@ -1895,7 +1255,9 @@ mod tests {
         assert_eq!(fast.answers, plain.answers);
         assert!(fast.stats.finite_language);
         assert!(!plain.stats.finite_language);
-        let to = planned.eval_to(&query, &graph, s);
+        let to = planned
+            .run_view(&query, &graph, &EvalRequest::target(s))
+            .into_eval_result();
         let plain_to = ProductEngine.eval_to(&query, &graph, s);
         assert_eq!(to.answers, plain_to.answers);
     }
@@ -1922,7 +1284,14 @@ mod tests {
 
         let p1 = planned.plan(&query, &dg);
         assert_eq!(p1.facts.pruned_symbols, vec![ghost]);
-        assert_eq!(planned.eval_view(&query, &dg, s).answers.len(), 32);
+        assert_eq!(
+            planned
+                .run_view(&query, &dg, &EvalRequest::source(s))
+                .into_eval_result()
+                .answers
+                .len(),
+            32
+        );
 
         // one ghost edge among 32: cost drift alone would reuse the plan
         assert!(dg.add_edge(s, ghost, names["m0"]));
@@ -1933,14 +1302,30 @@ mod tests {
         );
         assert!(p2.facts.pruned_symbols.is_empty());
         // and the rebuilt plan answers the ghost path
-        assert_eq!(planned.eval_view(&query, &dg, s).answers.len(), 32);
+        assert_eq!(
+            planned
+                .run_view(&query, &dg, &EvalRequest::source(s))
+                .into_eval_result()
+                .answers
+                .len(),
+            32
+        );
         let mut ab3 = ab.clone();
         let ghost_only = Query::parse(&mut ab3, "ghost").unwrap();
-        assert_eq!(planned.eval_view(&ghost_only, &dg, s).answers.len(), 1);
+        assert_eq!(
+            planned
+                .run_view(&ghost_only, &dg, &EvalRequest::source(s))
+                .into_eval_result()
+                .answers
+                .len(),
+            1
+        );
     }
 
     #[test]
-    fn run_view_agrees_with_legacy_entry_points_on_a_delta_view() {
+    fn run_view_arms_agree_with_plain_kernels_on_a_delta_view() {
+        use rpq_core::{eval_product_backward_reversed_csr, eval_product_csr};
+
         let (mut ab, set, inst, v0) = cached_workload(4);
         let mut dg = DeltaGraph::from_instance(&inst);
         let a = ab.get("a").unwrap();
@@ -1949,13 +1334,15 @@ mod tests {
         let query = Query::parse(&mut ab, "(a.b)*").unwrap();
         let all: Vec<Oid> = (0..dg.num_nodes()).map(|i| Oid(i as u32)).collect();
         let t = all[all.len() / 2];
+        // The oracle: the planned (rewritten) query through the plain,
+        // unpooled single-source kernels.
+        let plan = planned.plan(&query, &dg);
+        let fwd = |s: Oid| eval_product_csr(plan.query.nfa(), &dg, s).answers;
+        let bwd = |t: Oid| eval_product_backward_reversed_csr(&plan.reversed, &dg, t).answers;
 
         let single = planned.run_view(&query, &dg, &EvalRequest::source(v0));
         assert_eq!(single.termination, Termination::Complete);
-        assert_eq!(
-            single.nodes().unwrap(),
-            planned.eval_view(&query, &dg, v0).answers
-        );
+        assert_eq!(single.nodes().unwrap(), fwd(v0));
         // exactly one plan probe per request, stamped into the response
         assert_eq!(
             single.stats.plan_cache_hits + single.stats.plan_cache_misses,
@@ -1963,12 +1350,12 @@ mod tests {
         );
 
         let to = planned.run_view(&query, &dg, &EvalRequest::target(t));
-        assert_eq!(to.nodes().unwrap(), planned.eval_to(&query, &dg, t).answers);
+        assert_eq!(to.nodes().unwrap(), bwd(t));
 
         let batch = planned.run_view(&query, &dg, &EvalRequest::sources(all.clone()));
         let per = batch.batch().unwrap().per_source().unwrap();
         for (i, &s) in all.iter().enumerate() {
-            assert_eq!(per[i], planned.eval_view(&query, &dg, s).answers, "{s:?}");
+            assert_eq!(per[i], fwd(s), "{s:?}");
         }
         assert_eq!(
             batch.batch().unwrap().stats.plan_cache_hits
@@ -1980,19 +1367,27 @@ mod tests {
         let to_batch = planned.run_view(&query, &dg, &EvalRequest::targets(all.clone()));
         let per = to_batch.batch().unwrap().per_source().unwrap();
         for (i, &tt) in all.iter().enumerate() {
-            assert_eq!(per[i], planned.eval_to(&query, &dg, tt).answers, "{tt:?}");
+            assert_eq!(per[i], bwd(tt), "{tt:?}");
         }
 
-        let pair = planned.run_view(&query, &dg, &EvalRequest::pair(v0, t));
-        assert_eq!(
-            pair.reachable().unwrap(),
-            planned.eval_pair(&query, &dg, v0, t).reachable
-        );
+        for direction in [
+            Direction::Forward,
+            Direction::Backward,
+            Direction::Bidirectional,
+        ] {
+            let req = EvalRequest::pair(v0, t).with_direction(direction);
+            let pair = planned.run_view(&query, &dg, &req);
+            assert_eq!(
+                pair.reachable().unwrap(),
+                fwd(v0).contains(&t),
+                "{direction:?}"
+            );
+        }
 
         let m = planned.run_view(&query, &dg, &EvalRequest::matrix(all.clone(), all.clone()));
         let m = m.matrix().unwrap();
         for (i, &s) in all.iter().enumerate() {
-            let fwd = planned.eval_view(&query, &dg, s).answers;
+            let fwd = fwd(s);
             for (j, &tt) in all.iter().enumerate() {
                 assert_eq!(m.reachable(i, j), fwd.contains(&tt), "{s:?}->{tt:?}");
             }
@@ -2005,7 +1400,10 @@ mod tests {
         let graph = CsrGraph::from(&inst);
         let planned = PlannedEngine::new(ProductEngine, set, ab.clone());
         let query = Query::parse(&mut ab, "(a.b)*").unwrap();
-        let full = planned.eval_view(&query, &graph, v0).answers;
+        let full = planned
+            .run_view(&query, &graph, &EvalRequest::source(v0))
+            .into_eval_result()
+            .answers;
         for budget in [0usize, 1, 3, 7, 100_000] {
             let req = EvalRequest::source(v0).with_budget(budget);
             let resp = planned.run_view(&query, &graph, &req);

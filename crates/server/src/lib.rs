@@ -91,6 +91,7 @@ pub use rpq_optimizer::{Crpq, JoinPlan};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     use rpq_automata::Alphabet;
@@ -140,20 +141,51 @@ mod tests {
         assert!(matches!(err, Err(SubmitError::Parse(_))), "{err:?}");
     }
 
+    /// A broad closure that keeps a worker busy until its cancel flag is
+    /// raised: `(a+b)*` from every node of a 4000-node graph with two
+    /// pseudo-random out-edges per node.
+    fn busy_workload() -> (Server, Query, EvalRequest) {
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        let n = 4000;
+        for i in 0..n {
+            b.edge(&format!("n{i}"), "a", &format!("n{}", (i * 7 + 1) % n));
+            b.edge(&format!("n{i}"), "b", &format!("n{}", (i * 13 + 5) % n));
+        }
+        let (inst, _) = b.finish();
+        let all = (0..n as u32).map(Oid).collect();
+        let server =
+            Server::new(Arc::new(Catalog::from_instance(&inst)), ab).with_config(ServerConfig {
+                max_concurrent: 2,
+                ..ServerConfig::default()
+            });
+        let q = server.parse("(a+b)*").unwrap();
+        (server, q, EvalRequest::sources(all))
+    }
+
+    /// Wait (bounded) until every worker has released its slot.
+    fn drain(server: &Server) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while server.active_queries() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "workers never finished"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn admission_rejects_above_cap_and_frees_on_join() {
-        let (ab, catalog, nodes) = workload();
-        let server = Server::new(catalog, ab).with_config(ServerConfig {
-            max_concurrent: 2,
-            ..ServerConfig::default()
-        });
+        let (server, q, req) = busy_workload();
         let session = server.session();
-        let q = server.parse("a*").unwrap();
-        let h1 = session.submit(&q, EvalRequest::source(nodes[0])).unwrap();
-        let h2 = session.submit(&q, EvalRequest::source(nodes[1])).unwrap();
-        // Slots are held until handles are joined/dropped, so the third
-        // submission is rejected deterministically.
-        match session.submit(&q, EvalRequest::source(nodes[2])) {
+        let cancel = Arc::new(AtomicBool::new(false));
+        let busy = || req.clone().with_cancel(cancel.clone());
+        let h1 = session.submit(&q, busy()).unwrap();
+        let h2 = session.submit(&q, busy()).unwrap();
+        // Both workers are still evaluating, so the third submission is
+        // rejected deterministically.
+        match session.submit(&q, busy()) {
             Err(SubmitError::Rejected { active, cap }) => {
                 assert_eq!((active, cap), (2, 2));
             }
@@ -161,12 +193,38 @@ mod tests {
         }
         assert_eq!(server.metrics().rejected(), 1);
         assert_eq!(server.active_queries(), 2);
+        h1.cancel();
         h1.join();
         // the freed slot admits again
-        let h3 = session.submit(&q, EvalRequest::source(nodes[2])).unwrap();
+        let small = server.parse("a").unwrap();
+        let h3 = session.submit(&small, EvalRequest::source(Oid(0))).unwrap();
         h3.join();
+        h2.cancel();
         h2.join();
         assert_eq!(server.active_queries(), 0);
+    }
+
+    #[test]
+    fn dropped_handles_keep_their_slot_until_the_worker_ends() {
+        let (server, q, req) = busy_workload();
+        let session = server.session();
+        let cancel = Arc::new(AtomicBool::new(false));
+        // Admitted workers run until the flag is raised, so every admitted
+        // submission is a worker still running when the loop ends.
+        let mut admitted = 0;
+        for _ in 0..16 {
+            if let Ok(h) = session.submit(&q, req.clone().with_cancel(cancel.clone())) {
+                admitted += 1;
+                drop(h);
+            }
+        }
+        assert_eq!(admitted, 2, "dropping a handle must not free its slot");
+        assert_eq!(server.metrics().rejected(), 14);
+        // the detached workers stop at the flag and release their slots
+        cancel.store(true, Ordering::Relaxed);
+        drain(&server);
+        assert!(session.submit(&q, req.with_cancel(cancel)).is_ok());
+        drain(&server);
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //! entry point is the unified request form
 //! ([`PlannedEngine::run_view`]).
 //!
-//! Admission control counts **outstanding handles** (submitted, not yet
-//! joined or dropped) against [`ServerConfig::max_concurrent`]; a
-//! submission over the cap is rejected synchronously with
-//! [`SubmitError::Rejected`], carrying the observed occupancy. Every
+//! Admission control counts **running workers** (submitted, evaluation not
+//! yet finished) against [`ServerConfig::max_concurrent`]: the worker owns
+//! its slot, so dropping a handle does not free it early. A submission over
+//! the cap is rejected synchronously with [`SubmitError::Rejected`],
+//! carrying the observed occupancy. The synchronous [`Session::run`] and
+//! [`Session::run_crpq`] evaluate on the caller's thread and take no slot. Every
 //! submission gets a cancellation flag ([`QueryHandle::cancel`]) and —
 //! unless the request carries its own — the server's default fetch
 //! budget, so a runaway query terminates with
@@ -44,8 +46,9 @@ use crate::metrics::{Metrics, QueryClass};
 /// Serving knobs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Admission cap: maximum outstanding [`QueryHandle`]s. Submissions
-    /// over the cap are rejected with [`SubmitError::Rejected`].
+    /// Admission cap: maximum submitted queries whose workers are still
+    /// evaluating. Submissions over the cap are rejected with
+    /// [`SubmitError::Rejected`].
     pub max_concurrent: usize,
     /// Fetch budget stamped onto requests that do not carry their own
     /// (`None` = unlimited by default).
@@ -73,7 +76,7 @@ impl Default for ServerConfig {
 pub enum SubmitError {
     /// Admission control: the server is at its concurrency cap.
     Rejected {
-        /// Outstanding handles observed at rejection time.
+        /// Running workers observed at rejection time.
         active: usize,
         /// The configured cap.
         cap: usize,
@@ -101,8 +104,9 @@ impl From<ParseError> for SubmitError {
     }
 }
 
-/// Releases one admission slot when dropped (handle joined, dropped, or
-/// the submission path unwound).
+/// Releases one admission slot when dropped: owned by the query's worker,
+/// so the slot frees when the evaluation ends (or the submission path
+/// unwound before the worker started).
 struct AdmissionSlot(Arc<AtomicUsize>);
 
 impl Drop for AdmissionSlot {
@@ -238,7 +242,7 @@ impl Server {
         &self.metrics
     }
 
-    /// Outstanding handles right now.
+    /// Submitted queries whose workers are still evaluating, right now.
     pub fn active_queries(&self) -> usize {
         self.active.load(Ordering::SeqCst)
     }
@@ -345,27 +349,10 @@ impl Session<'_> {
     /// Submit a parsed query. Returns a [`QueryHandle`] whose worker is
     /// already running, or rejects synchronously (admission).
     pub fn submit(&self, query: &Query, req: EvalRequest) -> Result<QueryHandle, SubmitError> {
-        let slot = self.admit()?;
-        let (req, cancel) = self.controls(req);
         let class = QueryClass::of(&req.spec);
-        let snapshot = self.snapshot.clone();
-        let epoch = snapshot.epoch();
-        let engine = self.server.engine.clone();
-        let metrics = self.server.metrics.clone();
         let query = query.clone();
-        let join = std::thread::spawn(move || {
-            let start = Instant::now();
-            let resp = engine.run_view(&query, &*snapshot, &req);
-            metrics.record(class, start.elapsed(), &resp.stats, resp.termination);
-            maybe_calibrate(&engine, &metrics);
-            resp
-        });
-        Ok(QueryHandle {
-            join,
-            cancel,
-            class,
-            epoch,
-            _slot: slot,
+        self.spawn(req, class, move |engine, snapshot, req| {
+            engine.run_view(&query, snapshot, req)
         })
     }
 
@@ -377,17 +364,41 @@ impl Session<'_> {
     /// forms the second, pair/matrix both); accounted under
     /// [`QueryClass::Conjunctive`] with per-atom telemetry in the metrics.
     pub fn submit_crpq(&self, crpq: &Crpq, req: EvalRequest) -> Result<QueryHandle, SubmitError> {
+        let crpq = crpq.clone();
+        self.spawn(
+            req,
+            QueryClass::Conjunctive,
+            move |engine, snapshot, req| engine.run_crpq(&crpq, snapshot, req),
+        )
+    }
+
+    /// The shared submission path: take an admission slot (or reject),
+    /// stamp the controls, and start a worker that runs `eval` against the
+    /// pinned snapshot and records metrics. The worker owns the slot, so
+    /// it is released when the evaluation ends — not when the handle is
+    /// dropped, which would let a submit-then-drop loop run unbounded
+    /// workers.
+    fn spawn<F>(
+        &self,
+        req: EvalRequest,
+        class: QueryClass,
+        eval: F,
+    ) -> Result<QueryHandle, SubmitError>
+    where
+        F: FnOnce(&PlannedEngine<ProductEngine>, &DeltaGraph, &EvalRequest) -> EvalResponse
+            + Send
+            + 'static,
+    {
         let slot = self.admit()?;
         let (req, cancel) = self.controls(req);
         let snapshot = self.snapshot.clone();
         let epoch = snapshot.epoch();
         let engine = self.server.engine.clone();
         let metrics = self.server.metrics.clone();
-        let crpq = crpq.clone();
-        let class = QueryClass::Conjunctive;
         let join = std::thread::spawn(move || {
+            let _slot = slot;
             let start = Instant::now();
-            let resp = engine.run_crpq(&crpq, &*snapshot, &req);
+            let resp = eval(&engine, &snapshot, &req);
             metrics.record(class, start.elapsed(), &resp.stats, resp.termination);
             maybe_calibrate(&engine, &metrics);
             resp
@@ -397,7 +408,6 @@ impl Session<'_> {
             cancel,
             class,
             epoch,
-            _slot: slot,
         })
     }
 
@@ -445,15 +455,14 @@ impl Session<'_> {
     }
 }
 
-/// A running (or finished) submitted query. Holds its admission slot until
-/// joined or dropped; dropping without joining detaches the worker (it
-/// still finishes and records metrics).
+/// A running (or finished) submitted query. Dropping it without joining
+/// detaches the worker: it still finishes, records metrics, and holds its
+/// admission slot until then.
 pub struct QueryHandle {
     join: JoinHandle<EvalResponse>,
     cancel: Arc<AtomicBool>,
     class: QueryClass,
     epoch: Epoch,
-    _slot: AdmissionSlot,
 }
 
 impl fmt::Debug for QueryHandle {

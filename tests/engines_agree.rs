@@ -13,7 +13,7 @@ use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
     eval_derivative, eval_oracle, eval_product, eval_quotient_dfa, DerivativeEngine, Engine,
-    OracleEngine, ProductEngine, Query, QuotientDfaEngine, StreamingEngine,
+    EvalRequest, OracleEngine, ProductEngine, Query, QuotientDfaEngine, StreamingEngine,
 };
 use rpq::datalog::engine::{eval_naive, eval_seminaive};
 use rpq::datalog::translate::{load_instance, translate_quotient, translate_states};
@@ -383,7 +383,7 @@ proptest! {
         for t in graph.nodes() {
             let backward = eval_to(&query, &graph, t).answers;
             prop_assert_eq!(
-                &planned_product.eval_to(&query, &graph, t).answers,
+                &planned_product.run_view(&query, &graph, &EvalRequest::target(t)).into_eval_result().answers,
                 &backward,
                 "planned eval_to at {:?}", t
             );
@@ -400,12 +400,12 @@ proptest! {
                     "meet-in-the-middle {:?}->{:?}", s, t
                 );
                 prop_assert_eq!(
-                    planned_product.eval_pair(&query, &graph, s, t).reachable,
+                    planned_product.run_view(&query, &graph, &EvalRequest::pair(s, t)).into_pair().reachable,
                     fwd_says,
                     "planned(product) pair {:?}->{:?}", s, t
                 );
                 prop_assert_eq!(
-                    planned_quotient.eval_pair(&query, &graph, s, t).reachable,
+                    planned_quotient.run_view(&query, &graph, &EvalRequest::pair(s, t)).into_pair().reachable,
                     fwd_says,
                     "planned(quotient) pair {:?}->{:?}", s, t
                 );
@@ -458,7 +458,7 @@ proptest! {
         // backward on the snapshot
         for t in graph.nodes() {
             prop_assert_eq!(
-                planned.eval_to(&query, &graph, t).answers,
+                planned.run_view(&query, &graph, &EvalRequest::target(t)).into_eval_result().answers,
                 eval_to(&query, &graph, t).answers,
                 "backward at {:?}", t
             );
@@ -476,12 +476,12 @@ proptest! {
         let rev = nfa.reverse();
         for &s in &nodes {
             prop_assert_eq!(
-                planned.eval_view(&query, &dg, s).answers,
+                planned.run_view(&query, &dg, &EvalRequest::source(s)).into_eval_result().answers,
                 eval_product_csr(&nfa, &dg, s).answers,
                 "delta forward at {:?}", s
             );
             prop_assert_eq!(
-                planned.eval_to(&query, &dg, s).answers,
+                planned.run_view(&query, &dg, &EvalRequest::target(s)).into_eval_result().answers,
                 eval_product_backward_reversed_csr(&rev, &dg, s).answers,
                 "delta backward at {:?}", s
             );

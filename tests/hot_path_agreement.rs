@@ -16,14 +16,17 @@ use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
     eval_product_backward_reversed_csr_with, eval_product_csr, eval_product_csr_with, eval_to,
-    DerivativeEngine, Engine, EvalScratch, FrontierMode, OracleEngine, ProductEngine, Query,
-    QuotientDfaEngine, ScratchPool, StreamingEngine,
+    Answers, DerivativeEngine, Direction, Engine, EvalRequest, EvalResponse, EvalScratch,
+    FrontierMode, OracleEngine, ProductEngine, Query, QuotientDfaEngine, ScratchPool,
+    StreamingEngine, Termination,
 };
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
 use rpq::distributed::{PartitionedBatchEngine, SimulatorEngine};
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 use rpq::optimizer::PlannedEngine;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 const MODES: [FrontierMode; 4] = [
     FrontierMode::ForcedSparse,
@@ -105,6 +108,75 @@ fn modes_backward<G: GraphView>(reversed: &Nfa, graph: &G, target: Oid) -> Vec<O
     answers.unwrap_or_default()
 }
 
+/// A response's answers in a comparable form (payload stats, which carry
+/// per-call plan-memo counters, are left out).
+fn answers_of(resp: &EvalResponse) -> String {
+    match &resp.answers {
+        Answers::Nodes(ns) => format!("nodes {ns:?}"),
+        Answers::Batch(b) => format!("batch {:?}", b.per_source()),
+        Answers::Reachable(r) => format!("pair {r}"),
+        Answers::Matrix(m) => {
+            let bits: Vec<bool> = (0..m.sources().len())
+                .flat_map(|i| (0..m.targets().len()).map(move |j| (i, j)))
+                .map(|(i, j)| m.reachable(i, j))
+                .collect();
+            format!("matrix {bits:?}")
+        }
+        Answers::Bindings(bs) => format!("bindings {bs:?}"),
+    }
+}
+
+/// An unlimited control is just a control: every request shape through
+/// `PlannedEngine::run_view` answers identically, with identical
+/// `edges_scanned`, whether it carries no controls, a cancel flag that is
+/// never raised, or a budget of `usize::MAX`.
+fn unlimited_controls_agree<G: GraphView + Sync>(
+    query: &Query,
+    ab: &Alphabet,
+    graph: &G,
+) -> Result<(), TestCaseError> {
+    let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
+    let nodes: Vec<Oid> = (0..graph.num_nodes() as u32).map(Oid).collect();
+    let (s, t) = (nodes[0], nodes[nodes.len() - 1]);
+    let some = Some(nodes.iter().copied().step_by(2).collect::<Vec<Oid>>());
+    let mut reqs = vec![
+        EvalRequest::source(s),
+        EvalRequest::sources(nodes.clone()),
+        EvalRequest::target(t),
+        EvalRequest::targets(nodes.clone()),
+        EvalRequest::pair(s, t),
+        EvalRequest::matrix(nodes.clone(), nodes.clone()),
+        EvalRequest::conjunctive(None, None),
+        EvalRequest::conjunctive(some.clone(), None),
+        EvalRequest::conjunctive(None, some.clone()),
+        EvalRequest::conjunctive(some.clone(), some),
+    ];
+    for direction in [
+        Direction::Forward,
+        Direction::Backward,
+        Direction::Bidirectional,
+    ] {
+        reqs.push(EvalRequest::pair(s, t).with_direction(direction));
+    }
+    for req in reqs {
+        let plain = planned.run_view(query, graph, &req);
+        prop_assert_eq!(plain.termination, Termination::Complete);
+        let never_raised = req.clone().with_cancel(Arc::new(AtomicBool::new(false)));
+        for controlled in [never_raised, req.clone().with_budget(usize::MAX)] {
+            let resp = planned.run_view(query, graph, &controlled);
+            prop_assert_eq!(resp.termination, Termination::Complete);
+            prop_assert_eq!(answers_of(&resp), answers_of(&plain), "{:?}", req.spec);
+            prop_assert_eq!(
+                resp.stats.edges_scanned,
+                plain.stats.edges_scanned,
+                "{:?}",
+                req.spec
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -112,6 +184,8 @@ proptest! {
     /// identically — forward and backward, and against all nine engines —
     /// on the `CsrGraph` snapshot *and* on a post-delta `DeltaGraph`
     /// epoch. The hybrid run never scans more edges than forced-sparse.
+    /// On both, every `run_view` request shape answers the same with no
+    /// controls as with controls that never bind.
     #[test]
     fn frontier_modes_agree_with_all_engines(seed in 0u64..10_000) {
         let (ab, inst, src, q) = random_setup(seed, 6, 12);
@@ -151,6 +225,9 @@ proptest! {
             let back = modes_backward(&rev, &dg, s);
             prop_assert_eq!(&back, &eval_to(&query, &dg, s).answers, "delta bwd {:?}", s);
         }
+
+        unlimited_controls_agree(&query, &ab, &graph)?;
+        unlimited_controls_agree(&query, &ab, &dg)?;
     }
 }
 

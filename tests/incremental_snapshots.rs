@@ -12,7 +12,7 @@ use rand::{Rng as _, SeedableRng};
 
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Symbol};
-use rpq::core::{eval_product_csr, eval_quotient_dfa_csr, ProductEngine, Query};
+use rpq::core::{eval_product_csr, eval_quotient_dfa_csr, EvalRequest, ProductEngine, Query};
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, EdgeDelta, Instance, Oid};
 use rpq::optimizer::PlannedEngine;
@@ -104,7 +104,10 @@ fn assert_eval_equal(dg: &DeltaGraph, rebuilt: &CsrGraph, ab: &Alphabet, query: 
     );
     let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
     assert_eq!(
-        planned.eval_view(query, dg, s).answers,
+        planned
+            .run_view(query, dg, &EvalRequest::source(s))
+            .into_eval_result()
+            .answers,
         expected,
         "planned eval_view over delta"
     );
@@ -183,7 +186,9 @@ fn plan_memo_hits_across_delta_epochs_and_invalidates_on_compaction() {
     let hot = ab.get("hot").unwrap();
 
     // first evaluation compiles the plan
-    let first = planned.eval_view(&query, &dg, names["s"]);
+    let first = planned
+        .run_view(&query, &dg, &EvalRequest::source(names["s"]))
+        .into_eval_result();
     assert_eq!(first.stats.plan_cache_misses, 1);
 
     // three small delta epochs: every one reuses the plan
@@ -191,7 +196,9 @@ fn plan_memo_hits_across_delta_epochs_and_invalidates_on_compaction() {
         let mut delta = EdgeDelta::new();
         delta.add(names[format!("m{i}").as_str()], hot, names["t"]);
         assert_eq!(dg.apply_delta(&delta), 1);
-        let res = planned.eval_view(&query, &dg, names["s"]);
+        let res = planned
+            .run_view(&query, &dg, &EvalRequest::source(names["s"]))
+            .into_eval_result();
         assert_eq!(
             (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
             (1, 0),
@@ -203,7 +210,9 @@ fn plan_memo_hits_across_delta_epochs_and_invalidates_on_compaction() {
 
     // compaction starts a fresh lineage: the next evaluation recompiles
     dg.compact();
-    let after = planned.eval_view(&query, &dg, names["s"]);
+    let after = planned
+        .run_view(&query, &dg, &EvalRequest::source(names["s"]))
+        .into_eval_result();
     assert_eq!(after.stats.plan_cache_misses, 1);
     assert_eq!(planned.plan_cache_misses(), 2);
     assert_eq!(after.answers, first.answers);

@@ -1,7 +1,8 @@
 //! Parallel-evaluation agreement: intra-query parallelism is an
 //! *optimization*, never a semantics change. The frontier-parallel product
-//! BFS, the wave-parallel batch/pairset kernels, and the parallel CRPQ
-//! executor must return exactly the sequential answers — across every
+//! BFS, the wave-parallel batch kernels, and CRPQs served by an engine
+//! configured for parallelism must return exactly the sequential answers —
+//! across every
 //! frontier mode, forward and backward, on the immutable `CsrGraph`
 //! snapshot and on a post-delta `DeltaGraph` epoch, at every degree of
 //! parallelism. Budget and cancellation under parallelism must yield sound
@@ -16,18 +17,15 @@ use std::sync::atomic::AtomicBool;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Regex, Symbol};
 use rpq::core::{
-    eval_pairs_bound_csr_with, eval_pairs_bound_parallel_csr_with,
-    eval_pairs_from_sources_csr_with, eval_pairs_from_sources_parallel_csr_with,
-    eval_pairs_to_targets_csr_with, eval_pairs_to_targets_parallel_csr_with,
     eval_product_backward_parallel_reversed_csr_with, eval_product_backward_reversed_csr_with,
     eval_product_batch_csr_with, eval_product_batch_parallel_csr_with, eval_product_csr_with,
     eval_product_parallel_csr_with, eval_product_to_batch_csr_with,
-    eval_product_to_batch_parallel_csr_with, EvalControl, EvalScratch, FrontierMode, Query,
-    ScratchPool, Termination,
+    eval_product_to_batch_parallel_csr_with, EvalControl, EvalRequest, EvalScratch, FrontierMode,
+    ProductEngine, Query, ScratchPool, Termination,
 };
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
-use rpq::optimizer::{execute_join, execute_join_parallel, plan_join, HeadBindings, PlannerConfig};
+use rpq::optimizer::{execute_join, plan_join, HeadBindings, PlannedEngine, PlannerConfig};
 
 const MODES: [FrontierMode; 4] = [
     FrontierMode::ForcedSparse,
@@ -115,11 +113,11 @@ proptest! {
         check(nfa, &rev, &dg, src, &pool)?;
     }
 
-    /// The wave-parallel batch and pairset kernels reassemble their
-    /// per-wave results into exactly the sequential output — batch
-    /// forward, batch backward, and all three pairset strategies, at every
-    /// DoP, on the CSR snapshot and a post-delta epoch. More than 64
-    /// sources forces multiple waves, so the fan-out genuinely splits.
+    /// The wave-parallel batch kernels reassemble their per-wave results
+    /// into exactly the sequential output — batch forward and batch
+    /// backward, at every DoP, on the CSR snapshot and a post-delta epoch.
+    /// More than 64 sources forces multiple waves, so the fan-out genuinely
+    /// splits.
     #[test]
     fn parallel_wave_kernels_agree_with_sequential(seed in 0u64..10_000) {
         let (ab, inst, _, q) = random_setup(seed, 150, 600);
@@ -141,9 +139,6 @@ proptest! {
             let mut seq = EvalScratch::new();
             let batch = eval_product_batch_csr_with(nfa, graph, &sources, &mut seq);
             let to_batch = eval_product_to_batch_csr_with(rev, graph, &targets, &mut seq);
-            let from = eval_pairs_from_sources_csr_with(nfa, graph, &sources, &mut seq);
-            let to = eval_pairs_to_targets_csr_with(rev, graph, &targets, &mut seq);
-            let bound = eval_pairs_bound_csr_with(nfa, graph, &sources, &targets, &mut seq);
             for dop in DOPS {
                 let mut scratch = EvalScratch::new();
                 let b = eval_product_batch_parallel_csr_with(
@@ -154,18 +149,6 @@ proptest! {
                     rev, graph, &targets, dop, pool, &mut scratch,
                 );
                 prop_assert_eq!(t.per_source(), to_batch.per_source(), "to-batch dop={}", dop);
-                let f = eval_pairs_from_sources_parallel_csr_with(
-                    nfa, graph, &sources, dop, pool, &mut scratch,
-                );
-                prop_assert_eq!(&f.pairs, &from.pairs, "pairs-from dop={}", dop);
-                let t = eval_pairs_to_targets_parallel_csr_with(
-                    rev, graph, &targets, dop, pool, &mut scratch,
-                );
-                prop_assert_eq!(&t.pairs, &to.pairs, "pairs-to dop={}", dop);
-                let b = eval_pairs_bound_parallel_csr_with(
-                    nfa, graph, &sources, &targets, dop, pool, &mut scratch,
-                );
-                prop_assert_eq!(&b.pairs, &bound.pairs, "pairs-bound dop={}", dop);
             }
             Ok(())
         }
@@ -173,11 +156,11 @@ proptest! {
         check(nfa, &rev, &dg, &pool)?;
     }
 
-    /// The parallel CRPQ executor (semijoin steps on parallel pairset
-    /// kernels) returns exactly the sequential executor's bindings — free
-    /// heads and restricted heads, planned order and reversed order.
+    /// A CRPQ served by an engine configured for intra-query parallelism
+    /// returns exactly the sequential executor's bindings — free heads and
+    /// restricted heads.
     #[test]
-    fn parallel_crpq_executor_agrees_with_sequential(seed in 0u64..10_000) {
+    fn parallel_engine_crpq_agrees_with_sequential_executor(seed in 0u64..10_000) {
         let ab = Alphabet::from_names(["a", "b", "c"]);
         let syms: Vec<Symbol> = ab.symbols().collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -197,33 +180,26 @@ proptest! {
             var_names: (0..=atoms).map(|i| format!("x{i}")).collect(),
         };
         let graph = CsrGraph::from(&inst);
-        let pool = ScratchPool::with_capacity(8);
+        let engine = PlannedEngine::unconstrained(ProductEngine, ab.clone()).with_config(
+            PlannerConfig { parallelism: 4, ..PlannerConfig::default() },
+        );
         let sources: Vec<Oid> = graph.nodes().step_by(3).collect();
-        let head_shapes = [
-            HeadBindings::default(),
-            HeadBindings { sources: Some(&sources), targets: None },
-        ];
-        let mut orders = vec![plan_join(&crpq, graph.stats(), &PlannerConfig::default(), false, false).order];
-        orders.push((0..crpq.atoms.len()).rev().collect());
-        for heads in head_shapes {
-            for order in &orders {
-                let mut seq = EvalScratch::new();
-                let expected = execute_join(
-                    &crpq, order, &graph, heads, FrontierMode::Hybrid,
-                    &EvalControl::UNLIMITED, &mut seq,
-                );
-                prop_assert!(expected.termination.is_complete());
-                for dop in DOPS {
-                    let mut scratch = EvalScratch::new();
-                    let res = execute_join_parallel(
-                        &crpq, order, &graph, heads, FrontierMode::Hybrid,
-                        &EvalControl::UNLIMITED, dop, &pool, &mut scratch,
-                    );
-                    prop_assert_eq!(&res.pairs, &expected.pairs, "order {:?} dop={}", order, dop);
-                    prop_assert!(res.termination.is_complete());
-                    prop_assert_eq!(res.stats.atoms.len(), crpq.atoms.len());
-                }
-            }
+        for head_sources in [None, Some(&sources[..])] {
+            let heads = HeadBindings { sources: head_sources, targets: None };
+            let order = plan_join(
+                &crpq, graph.stats(), &PlannerConfig::default(), head_sources.is_some(), false,
+            ).order;
+            let mut seq = EvalScratch::new();
+            let expected = execute_join(
+                &crpq, &order, &graph, heads, FrontierMode::Hybrid,
+                &EvalControl::UNLIMITED, &mut seq,
+            );
+            prop_assert!(expected.termination.is_complete());
+            let req = EvalRequest::conjunctive(head_sources.map(<[Oid]>::to_vec), None);
+            let res = engine.run_crpq(&crpq, &graph, &req);
+            prop_assert_eq!(res.bindings().unwrap(), &expected.pairs[..]);
+            prop_assert!(res.termination.is_complete());
+            prop_assert_eq!(res.stats.atoms.len(), crpq.atoms.len());
         }
     }
 
