@@ -10,9 +10,9 @@
 //!   workers. Workers claim fixed-size chunks from a shared atomic cursor
 //!   (claims beyond a worker's static fair share are counted as *steals* —
 //!   the same rebalancing a work-stealing deque buys, without one), mark
-//!   newly reached pairs in an atomic generation-stamped table
-//!   ([`EvalScratch`]'s `par_seen`: one `swap(gen)` per candidate, first
-//!   marker wins), and append them to a per-worker next buffer taken from
+//!   newly reached pairs in the arena's generation-stamped seen table
+//!   ([`EvalScratch`]'s atomic `seen`, the same table the sequential
+//!   kernel uses: one `swap(gen)` per candidate, first marker wins), and append them to a per-worker next buffer taken from
 //!   a pooled [`EvalScratch`]; the buffers are concatenated at the level
 //!   barrier.
 //! * **pull levels** partition the node range into contiguous slabs. Each
@@ -184,7 +184,7 @@ struct LevelCtx<'a, G> {
     nv: usize,
     gen: u32,
     bound_active: bool,
-    par_seen: &'a [AtomicU32],
+    seen: &'a [AtomicU32],
     rev_trans: &'a [(Symbol, StateId)],
     rev_trans_off: &'a [usize],
     frontier: &'a [(StateId, Oid)],
@@ -204,8 +204,8 @@ struct LevelCtx<'a, G> {
 /// Mark `(q, v)` in the atomic seen table; `true` when this call was the
 /// first to reach the pair this generation (first marker wins).
 #[inline]
-fn mark_atomic(par_seen: &[AtomicU32], gen: u32, nv: usize, q: StateId, v: Oid) -> bool {
-    par_seen[q as usize * nv + v.index()].swap(gen, Ordering::Relaxed) != gen
+fn mark_atomic(seen: &[AtomicU32], gen: u32, nv: usize, q: StateId, v: Oid) -> bool {
+    seen[q as usize * nv + v.index()].swap(gen, Ordering::Relaxed) != gen
 }
 
 /// One push worker: claim frontier chunks from the shared cursor, scan
@@ -256,7 +256,7 @@ fn push_worker<G: GraphView + Sync>(
                 }
                 out.edges += targets.len();
                 for v2 in targets {
-                    if mark_atomic(ctx.par_seen, ctx.gen, ctx.nv, q2, v2) {
+                    if mark_atomic(ctx.seen, ctx.gen, ctx.nv, q2, v2) {
                         next.push((q2, v2));
                         if ctx.bound_active {
                             out.debits += pair_pull_probes(
@@ -309,7 +309,7 @@ fn pull_worker<G: GraphView + Sync>(
             }
             let seg = &ctx.rev_trans[lo..hi];
             for vi in start..end {
-                if ctx.par_seen[q2 * nv + vi].load(Ordering::Relaxed) == ctx.gen {
+                if ctx.seen[q2 * nv + vi].load(Ordering::Relaxed) == ctx.gen {
                     continue;
                 }
                 let candidate = Oid(vi as u32);
@@ -347,7 +347,7 @@ fn pull_worker<G: GraphView + Sync>(
                             }
                             out.edges += 1;
                             if ctx.dense.state(qsrc as usize).contains(u.index()) {
-                                ctx.par_seen[q2 * nv + vi].store(ctx.gen, Ordering::Relaxed);
+                                ctx.seen[q2 * nv + vi].store(ctx.gen, Ordering::Relaxed);
                                 next.push((q2 as StateId, candidate));
                                 out.debits += pair_pull_probes(
                                     ctx.graph,
@@ -463,7 +463,7 @@ pub(crate) fn product_search_parallel<G: GraphView + Sync>(
     let nq = nfa.num_states();
     let nv = graph.num_nodes();
     debug_assert!(source.index() < nv.max(1), "source must be a graph node");
-    let covered = scratch.begin_parallel(nq, nv);
+    let covered = scratch.begin(nq, nv);
     let mut stats = EvalStats {
         scratch_reused: usize::from(covered),
         threads_used: 1,
@@ -504,7 +504,7 @@ pub(crate) fn product_search_parallel<G: GraphView + Sync>(
     let spent = AtomicUsize::new(0);
     let tripped = AtomicBool::new(false);
 
-    if nv > 0 && mark_atomic(&scratch.par_seen, gen, nv, nfa.start(), source) {
+    if nv > 0 && mark_atomic(&scratch.seen, gen, nv, nfa.start(), source) {
         scratch.frontier.push((nfa.start(), source));
         if bound.active {
             bound.debit(pair_pull_probes(
@@ -532,7 +532,7 @@ pub(crate) fn product_search_parallel<G: GraphView + Sync>(
             let (q, v) = scratch.frontier[i];
             i += 1;
             for &q2 in nfa.eps_transitions(q) {
-                if mark_atomic(&scratch.par_seen, gen, nv, q2, v) {
+                if mark_atomic(&scratch.seen, gen, nv, q2, v) {
                     scratch.frontier.push((q2, v));
                     if bound.active {
                         bound.debit(pair_pull_probes(
@@ -629,7 +629,7 @@ pub(crate) fn product_search_parallel<G: GraphView + Sync>(
                 nv,
                 gen,
                 bound_active: bound.active,
-                par_seen: &scratch.par_seen,
+                seen: &scratch.seen,
                 rev_trans: &scratch.rev_trans,
                 rev_trans_off: &scratch.rev_trans_off,
                 frontier: &scratch.frontier,
@@ -944,6 +944,48 @@ mod tests {
                 res.stats.edges_scanned, seq.stats.edges_scanned,
                 "dop={dop}"
             );
+        }
+    }
+
+    #[test]
+    fn dop1_and_dop2_share_one_seen_table_on_a_pooled_arena() {
+        // Large enough that some levels clear PAR_LEVEL_THRESHOLD, so the
+        // dop=2 runs really fan out over the shared atomic table.
+        let (_ab, graph, src, nfa) = web(40_000);
+        let pool = ScratchPool::new();
+        let mut arena = pool.checkout();
+        let run = |dop: usize, arena: &mut EvalScratch| {
+            eval_product_parallel_csr_with(
+                &nfa,
+                &graph,
+                src,
+                None,
+                FrontierMode::Hybrid,
+                &EvalControl::UNLIMITED,
+                dop,
+                &pool,
+                arena,
+            )
+            .0
+        };
+        let reference = run(1, &mut arena);
+        for order in [[1, 2], [2, 1]] {
+            for _ in 0..2 {
+                for dop in order {
+                    let res = run(dop, &mut arena);
+                    assert_eq!(res.answers, reference.answers, "dop={dop}");
+                    assert_eq!(
+                        res.stats.edges_scanned, reference.stats.edges_scanned,
+                        "dop={dop}"
+                    );
+                    // One table serves both kernels: the warm arena never
+                    // grows again, whichever kernel ran before.
+                    assert_eq!(res.stats.scratch_reused, 1, "dop={dop}");
+                    if dop == 2 {
+                        assert!(res.stats.parallel_levels > 0, "levels fanned out");
+                    }
+                }
+            }
         }
     }
 

@@ -52,6 +52,8 @@
 //! (generation-stamped marks, reusable frontiers) so repeated queries
 //! allocate nothing after warm-up — see [`crate::scratch`].
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use rpq_automata::{Nfa, StateId, Symbol};
 use rpq_graph::{CsrGraph, GraphView, Instance, Oid};
 
@@ -156,12 +158,12 @@ fn push_sparse(
     v: Oid,
     nv: usize,
     gen: u32,
-    seen: &mut [u32],
+    seen: &[AtomicU32],
     level: &mut Vec<(StateId, Oid)>,
 ) -> bool {
-    let idx = q as usize * nv + v.index();
-    if seen[idx] != gen {
-        seen[idx] = gen;
+    let cell = &seen[q as usize * nv + v.index()];
+    if cell.load(Ordering::Relaxed) != gen {
+        cell.store(gen, Ordering::Relaxed);
         level.push((q, v));
         true
     } else {
@@ -246,9 +248,7 @@ fn push_level<G: GraphView>(
             }
             stats.edges_scanned += targets.len();
             for v2 in targets {
-                if push_sparse(q2, v2, nv, gen, &mut scratch.seen, &mut scratch.next)
-                    && bound.active
-                {
+                if push_sparse(q2, v2, nv, gen, &scratch.seen, &mut scratch.next) && bound.active {
                     bound.debit(pair_pull_probes(
                         graph,
                         reverse_adj,
@@ -298,7 +298,7 @@ fn pull_level<G: GraphView>(
         }
         let seg = &scratch.rev_trans[lo..hi];
         for vi in 0..nv {
-            if scratch.seen[q2 * nv + vi] == gen {
+            if scratch.seen[q2 * nv + vi].load(Ordering::Relaxed) == gen {
                 continue;
             }
             let candidate = Oid(vi as u32);
@@ -332,7 +332,7 @@ fn pull_level<G: GraphView>(
                         }
                         stats.edges_scanned += 1;
                         if scratch.dense.state(qsrc as usize).contains(u.index()) {
-                            scratch.seen[q2 * nv + vi] = gen;
+                            scratch.seen[q2 * nv + vi].store(gen, Ordering::Relaxed);
                             scratch.next.push((q2 as StateId, candidate));
                             bound.debit(pair_pull_probes(
                                 graph,
@@ -436,7 +436,7 @@ pub(crate) fn product_search_with<G: GraphView>(
             source,
             nv,
             gen,
-            &mut scratch.seen,
+            &scratch.seen,
             &mut scratch.frontier,
         )
         && bound.active
@@ -465,8 +465,7 @@ pub(crate) fn product_search_with<G: GraphView>(
             let (q, v) = scratch.frontier[i];
             i += 1;
             for &q2 in nfa.eps_transitions(q) {
-                if push_sparse(q2, v, nv, gen, &mut scratch.seen, &mut scratch.frontier)
-                    && bound.active
+                if push_sparse(q2, v, nv, gen, &scratch.seen, &mut scratch.frontier) && bound.active
                 {
                     bound.debit(pair_pull_probes(
                         graph,

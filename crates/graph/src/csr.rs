@@ -133,25 +133,20 @@ impl LabelStats {
         }
     }
 
-    /// Recount statistics from adjacency rows — the from-scratch reference
-    /// the incremental counters are checked against in debug builds, and
-    /// the fallback for rehydrated instances. Rows are normally sorted by
-    /// `(Symbol, Oid)`; unsorted rows (older encodings) are sorted into a
-    /// scratch copy first so distinct-source detection stays correct.
-    pub(crate) fn recount<'a>(rows: impl Iterator<Item = &'a [(Symbol, Oid)]>) -> LabelStats {
+    /// Recount statistics from adjacency rows, each given as its edges'
+    /// labels in ascending order — the from-scratch reference the
+    /// incremental counters are checked against in debug builds, and the
+    /// fallback for rehydrated instances.
+    pub(crate) fn recount<R, L>(rows: R) -> LabelStats
+    where
+        R: IntoIterator<Item = L>,
+        L: IntoIterator<Item = Symbol>,
+    {
         let mut stats = LabelStats::default();
-        let mut scratch: Vec<(Symbol, Oid)> = Vec::new();
         for row in rows {
-            let row: &[(Symbol, Oid)] = if row.is_sorted() {
-                row
-            } else {
-                scratch.clear();
-                scratch.extend_from_slice(row);
-                scratch.sort_unstable();
-                &scratch
-            };
             let mut prev = None;
-            for &(l, _) in row {
+            for l in row {
+                debug_assert!(prev <= Some(l), "row labels must ascend");
                 stats.note_added(l, prev != Some(l));
                 prev = Some(l);
             }
@@ -363,60 +358,83 @@ impl<'a> Iterator for LabelGroups<'a> {
     }
 }
 
-impl From<&Instance> for CsrGraph {
-    fn from(instance: &Instance) -> CsrGraph {
-        let n = instance.num_nodes();
-        let m = instance.num_edges();
-        // Statistics are maintained incrementally by the instance's
-        // mutation methods — snapshotting no longer recounts them. The
-        // same defensive posture as the row re-sort below applies to
-        // instances rehydrated from encodings that predate the stats
-        // field (derived `Deserialize` performs no validation): when the
-        // incremental totals don't even cover the edge count, fall back
-        // to a recount instead of freezing stale statistics. On
-        // maintained instances the recount stays as a debug-build
-        // equivalence check.
-        let stats = if instance.stats().total_edges() == m {
-            let stats = instance.stats().clone();
-            debug_assert!(
-                stats.agrees_with(&LabelStats::recount(
-                    instance.nodes().map(|v| instance.out_edges(v))
-                )),
-                "incremental LabelStats diverged from recount"
-            );
-            stats
-        } else {
-            LabelStats::recount(instance.nodes().map(|v| instance.out_edges(v)))
-        };
+/// Builds a [`CsrGraph`] from forward rows pushed in node order, each
+/// already sorted by `(Symbol, Oid)`: the forward arenas are appended
+/// as-is and [`CsrBuilder::finish`] derives the reverse CSR. Shared by
+/// [`CsrGraph::from`] (rows of an [`Instance`]) and
+/// [`crate::DeltaGraph::compact`] (rows of the overlay view), so neither
+/// materializes an intermediate per-node adjacency structure.
+pub(crate) struct CsrBuilder {
+    out_offsets: Vec<usize>,
+    out_labels: Vec<Symbol>,
+    out_targets: Vec<Oid>,
+}
 
-        // Forward: Instance rows are maintained sorted by (Symbol, Oid);
-        // re-sort defensively (e.g. instances deserialized from older
-        // encodings), which is O(1) on already-sorted rows.
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_labels = Vec::with_capacity(m);
-        let mut out_targets = Vec::with_capacity(m);
-        let mut scratch: Vec<(Symbol, Oid)> = Vec::new();
+impl CsrBuilder {
+    /// An empty builder with room for `nodes` rows and `edges` edges.
+    pub(crate) fn with_capacity(nodes: usize, edges: usize) -> CsrBuilder {
+        let mut out_offsets = Vec::with_capacity(nodes + 1);
         out_offsets.push(0);
-        for v in instance.nodes() {
-            let row = instance.out_edges(v);
-            let row: &[(Symbol, Oid)] = if row.is_sorted() {
-                row
-            } else {
-                scratch.clear();
-                scratch.extend_from_slice(row);
-                scratch.sort_unstable();
-                &scratch
-            };
-            for &(l, t) in row {
-                out_labels.push(l);
-                out_targets.push(t);
-            }
-            out_offsets.push(out_labels.len());
+        CsrBuilder {
+            out_offsets,
+            out_labels: Vec::with_capacity(edges),
+            out_targets: Vec::with_capacity(edges),
         }
+    }
 
-        // Reverse: counting-sort the transposed edges straight into the
-        // arenas (no per-node buckets), then sort each row in place by
-        // (Symbol, Oid) through one reused scratch buffer.
+    /// Append one edge to the row under construction. Edges of a row must
+    /// arrive sorted by `(Symbol, Oid)`.
+    #[inline]
+    pub(crate) fn push(&mut self, label: Symbol, target: Oid) {
+        debug_assert!(
+            self.out_labels.len() == self.row_start()
+                || self.out_labels.last().zip(self.out_targets.last()) <= Some((&label, &target)),
+            "rows must arrive sorted by (Symbol, Oid)"
+        );
+        self.out_labels.push(label);
+        self.out_targets.push(target);
+    }
+
+    /// Close the row under construction: the next [`CsrBuilder::push`]
+    /// starts the next node's row.
+    pub(crate) fn end_row(&mut self) {
+        self.out_offsets.push(self.out_labels.len());
+    }
+
+    fn row_start(&self) -> usize {
+        self.out_offsets.last().copied().unwrap_or(0)
+    }
+
+    /// Statistics counted from the rows pushed so far (the fallback for
+    /// instances whose incremental counters are stale, and the debug-build
+    /// reference in [`CsrBuilder::finish`]).
+    pub(crate) fn recount(&self) -> LabelStats {
+        LabelStats::recount(
+            self.out_offsets
+                .windows(2)
+                .map(|w| self.out_labels[w[0]..w[1]].iter().copied()),
+        )
+    }
+
+    /// Freeze the pushed rows with `stats` (which must describe them —
+    /// asserted in debug builds): counting-sort the transposed edges
+    /// straight into the reverse arenas (no per-node buckets), then sort
+    /// each reverse row in place by `(Symbol, Oid)` through one reused
+    /// scratch buffer.
+    pub(crate) fn finish(self, stats: LabelStats) -> CsrGraph {
+        debug_assert!(
+            stats.agrees_with(&self.recount()),
+            "incremental LabelStats diverged from recount:\n{:?}\nvs\n{:?}",
+            stats,
+            self.recount()
+        );
+        let CsrBuilder {
+            out_offsets,
+            out_labels,
+            out_targets,
+        } = self;
+        let n = out_offsets.len() - 1;
+        let m = out_targets.len();
         let mut in_offsets = vec![0usize; n + 1];
         for &t in &out_targets {
             in_offsets[t.index() + 1] += 1;
@@ -427,15 +445,15 @@ impl From<&Instance> for CsrGraph {
         let mut in_labels = vec![Symbol::from_index(0); m];
         let mut in_sources = vec![Oid(0); m];
         let mut cursor = in_offsets.clone();
-        for v in instance.nodes() {
-            let (start, end) = (out_offsets[v.index()], out_offsets[v.index() + 1]);
-            for i in start..end {
+        for v in 0..n {
+            for i in out_offsets[v]..out_offsets[v + 1] {
                 let slot = cursor[out_targets[i].index()];
                 cursor[out_targets[i].index()] += 1;
                 in_labels[slot] = out_labels[i];
-                in_sources[slot] = v;
+                in_sources[slot] = Oid(v as u32);
             }
         }
+        let mut scratch: Vec<(Symbol, Oid)> = Vec::new();
         for v in 0..n {
             let (start, end) = (in_offsets[v], in_offsets[v + 1]);
             if end - start > 1 {
@@ -463,6 +481,46 @@ impl From<&Instance> for CsrGraph {
             in_sources,
             stats,
         }
+    }
+}
+
+impl From<&Instance> for CsrGraph {
+    fn from(instance: &Instance) -> CsrGraph {
+        // Forward: Instance rows are maintained sorted by (Symbol, Oid);
+        // re-sort defensively (e.g. instances deserialized from older
+        // encodings), which is O(1) on already-sorted rows.
+        let mut b = CsrBuilder::with_capacity(instance.num_nodes(), instance.num_edges());
+        let mut scratch: Vec<(Symbol, Oid)> = Vec::new();
+        for v in instance.nodes() {
+            let row = instance.out_edges(v);
+            let row: &[(Symbol, Oid)] = if row.is_sorted() {
+                row
+            } else {
+                scratch.clear();
+                scratch.extend_from_slice(row);
+                scratch.sort_unstable();
+                &scratch
+            };
+            for &(l, t) in row {
+                b.push(l, t);
+            }
+            b.end_row();
+        }
+        // Statistics are maintained incrementally by the instance's
+        // mutation methods — snapshotting no longer recounts them. The
+        // same defensive posture as the row re-sort above applies to
+        // instances rehydrated from encodings that predate the stats
+        // field (derived `Deserialize` performs no validation): when the
+        // incremental totals don't even cover the edge count, fall back
+        // to a recount instead of freezing stale statistics. On
+        // maintained instances the recount stays as a debug-build
+        // equivalence check inside `finish`.
+        let stats = if instance.stats().total_edges() == instance.num_edges() {
+            instance.stats().clone()
+        } else {
+            b.recount()
+        };
+        b.finish(stats)
     }
 }
 

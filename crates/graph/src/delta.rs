@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use rpq_automata::Symbol;
 
-use crate::csr::{CsrGraph, LabelStats};
+use crate::csr::{CsrBuilder, CsrGraph, LabelStats};
 use crate::instance::{Instance, Oid};
 use crate::source::{GraphSource, NodeId};
 use crate::view::{EdgeDelta, Epoch, GraphView, OverlayEdges, ViewEdges, ViewGroups};
@@ -517,9 +517,15 @@ impl DeltaGraph {
 
     /// Fold the overlay into a fresh base CSR (the `O(V + E)` pass the
     /// overlay defers), clear the logs, and start a **new epoch lineage**:
-    /// plans memoized against the old base are invalidated. In debug
-    /// builds, asserts the incrementally maintained [`LabelStats`] agree
-    /// with the rebuilt base's recount.
+    /// plans memoized against the old base are invalidated.
+    ///
+    /// The new base is built straight from the overlay view: each node's
+    /// [`DeltaGraph::out_groups`] row (labels and targets ascending, the
+    /// base row merged with the logs) is appended to the forward arenas,
+    /// and the reverse CSR is derived from them. No intermediate
+    /// [`crate::Instance`] (one `Vec` per node) is built, and the
+    /// incrementally maintained [`LabelStats`] are installed as-is — debug
+    /// builds assert them against a recount of the new rows.
     ///
     /// Compaction is **copy-on-write**: the rebuilt base is installed as a
     /// fresh `Arc`, so `DeltaGraph` clones taken before the call (pinned
@@ -527,27 +533,16 @@ impl DeltaGraph {
     /// traversals undisturbed — no reader is ever blocked or invalidated by
     /// a writer-side compaction.
     pub fn compact(&mut self) {
-        let n = self.num_nodes();
-        let mut inst = Instance::new();
-        for _ in 0..n {
-            inst.add_node();
-        }
-        // out_groups yields labels and targets ascending, so every
-        // add_edge below appends at its row's end — O(E) overall.
+        let mut b = CsrBuilder::with_capacity(self.num_nodes(), self.edges);
         for v in self.nodes() {
             for (l, ts) in self.out_groups(v) {
                 for t in ts {
-                    inst.add_edge(v, l, t);
+                    b.push(l, t);
                 }
             }
+            b.end_row();
         }
-        let base = CsrGraph::from(&inst);
-        debug_assert!(
-            self.stats.agrees_with(base.stats()),
-            "incremental LabelStats diverged from compaction recount:\n{:?}\nvs\n{:?}",
-            self.stats,
-            base.stats()
-        );
+        let base = b.finish(self.stats.clone());
         self.base = Arc::new(base);
         self.adds.clear();
         self.dels.clear();
@@ -771,6 +766,79 @@ mod tests {
         let edges_after: Vec<_> = dg.edges().collect();
         assert_eq!(edges_before, edges_after);
         assert_eq!(dg.num_edges(), dg.base().num_edges());
+    }
+
+    #[test]
+    fn compacted_base_equals_a_rebuild_from_an_instance() {
+        // Random deltas (adds, deletes of base and logged edges, new
+        // nodes) between compactions; after each compaction the base must
+        // be exactly what freezing a rebuilt Instance produces.
+        let mut ab = Alphabet::new();
+        let labels = ["a", "b", "c", "d"].map(|l| ab.intern(l));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut inst = Instance::new();
+        for _ in 0..40 {
+            inst.add_node();
+        }
+        for _ in 0..120 {
+            let (f, l, t) = (next(40), labels[next(4)], next(40));
+            inst.add_edge(Oid(f as u32), l, Oid(t as u32));
+        }
+        let mut dg = DeltaGraph::from_instance(&inst);
+        for round in 0..8 {
+            let mut d = EdgeDelta::new();
+            let existing: Vec<_> = dg.edges().collect();
+            for _ in 0..30 {
+                if !existing.is_empty() && next(2) == 0 {
+                    let (f, l, t) = existing[next(existing.len())];
+                    d.del(f, l, t);
+                } else {
+                    let n = dg.num_nodes();
+                    let (f, t) = (Oid(next(n) as u32), Oid(next(n) as u32));
+                    d.add(f, labels[next(3)], t);
+                }
+            }
+            // Every `d` edge goes in round 3, leaving a zero-count label.
+            if round == 3 {
+                for (f, l, t) in existing {
+                    if l == labels[3] {
+                        d.del(f, l, t);
+                    }
+                }
+            }
+            dg.apply_delta(&d);
+            if round % 2 == 1 {
+                dg.add_node();
+            }
+            let mut rebuilt = Instance::new();
+            for _ in 0..dg.num_nodes() {
+                rebuilt.add_node();
+            }
+            for (f, l, t) in dg.edges() {
+                rebuilt.add_edge(f, l, t);
+            }
+            let expected = CsrGraph::from(&rebuilt);
+            dg.compact();
+            let base = dg.base();
+            assert_eq!(base.num_nodes(), expected.num_nodes(), "round {round}");
+            assert_eq!(base.num_edges(), expected.num_edges(), "round {round}");
+            for v in expected.nodes() {
+                assert_eq!(base.outdegree(v), expected.outdegree(v));
+                assert_eq!(base.indegree(v), expected.indegree(v));
+                assert!(base.out_pairs(v).eq(expected.out_pairs(v)), "round {round}");
+                assert!(base.rev_pairs(v).eq(expected.rev_pairs(v)), "round {round}");
+            }
+            assert!(base.stats().agrees_with(expected.stats()), "round {round}");
+            if base.stats().num_labels() == expected.stats().num_labels() {
+                assert_eq!(base, &expected, "round {round}");
+            }
+        }
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Instance {
             count += row.len();
         }
         self.edge_count = count;
-        self.stats = LabelStats::recount(self.out.iter().map(Vec::as_slice));
+        self.stats = LabelStats::recount(self.out.iter().map(|row| row.iter().map(|&(l, _)| l)));
     }
 
     /// Number of objects.

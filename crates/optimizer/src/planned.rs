@@ -20,7 +20,10 @@
 //! 3. memoizes the whole [`Plan`] behind a `parking_lot::Mutex`, so
 //!    repeated queries skip both the rewrite search and recompilation, and
 //!    one engine instance can be shared across threads (the threaded
-//!    distributed runner, `PartitionedBatchEngine` workers).
+//!    distributed runner, `PartitionedBatchEngine` workers, the serving
+//!    pool). Concurrent misses on one query coalesce: a miss re-probes
+//!    under a planning lock, so one thread plans while the others wait
+//!    and then hit.
 //!
 //! # Epoch-aware plan reuse
 //!
@@ -197,6 +200,10 @@ pub struct PlannedEngine<E> {
     config: PlannerConfig,
     memo: Mutex<HashMap<Regex, Vec<MemoEntry>>>,
     crpq_memo: Mutex<HashMap<CrpqSig, Vec<CrpqMemoEntry>>>,
+    /// Held while a plan (path or join) is built after a memo miss, so
+    /// concurrent misses on one key plan once: the waiters re-probe and
+    /// hit.
+    planning: Mutex<()>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     scratch: ScratchPool,
@@ -219,6 +226,7 @@ impl<E> PlannedEngine<E> {
             config: PlannerConfig::default(),
             memo: Mutex::new(HashMap::new()),
             crpq_memo: Mutex::new(HashMap::new()),
+            planning: Mutex::new(()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             scratch: ScratchPool::new(),
@@ -404,8 +412,29 @@ impl<E> PlannedEngine<E> {
             && within_factor(plan.backward_cost, b, self.config.decisiveness)
     }
 
+    /// Probe the plan memo for `q` under `key`: an exact-key hit, or a
+    /// same-lineage entry whose label-stat drift stays under the
+    /// decisiveness threshold (see the module docs). Counts the hit.
+    fn memo_probe(&self, q: &Regex, key: &MemoKey, stats: &LabelStats) -> Option<Arc<Plan>> {
+        let memo = self.memo.lock();
+        let entries = memo.get(q)?;
+        // Same base lineage, different epoch: reuse the plan if the
+        // label-stat drift stays under the decisiveness threshold.
+        let found = entries.iter().find(|e| e.key == *key).or_else(|| {
+            entries
+                .iter()
+                .find(|e| key.0 != 0 && e.key.0 == key.0 && self.drift_within(&e.plan, stats))
+        })?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(found.plan.clone())
+    }
+
     /// The memoized plan plus whether it was served from the memo (`true`)
     /// or built from scratch (`false`).
+    ///
+    /// Concurrent misses coalesce: a miss re-probes under the planning
+    /// lock (double-checked), so when several workers miss on the same
+    /// query at once, one plans while the others wait and then hit.
     fn plan_status<G: GraphView>(
         &self,
         q: &Regex,
@@ -414,29 +443,13 @@ impl<E> PlannedEngine<E> {
     ) -> (Arc<Plan>, bool) {
         let key = memo_key(graph);
         // Memo probe by reference — the query is cloned only on a miss.
-        {
-            let memo = self.memo.lock();
-            if let Some(entries) = memo.get(q) {
-                if let Some(e) = entries.iter().find(|e| e.key == key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (e.plan.clone(), true);
-                }
-                if key.0 != 0 {
-                    // Same base lineage, different epoch: reuse the plan if
-                    // the label-stat drift stays under the decisiveness
-                    // threshold (see the module docs).
-                    if let Some(e) = entries
-                        .iter()
-                        .find(|e| e.key.0 == key.0 && self.drift_within(&e.plan, graph.stats()))
-                    {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return (e.plan.clone(), true);
-                    }
-                }
-            }
+        if let Some(plan) = self.memo_probe(q, &key, graph.stats()) {
+            return (plan, true);
         }
-        // Planning runs unlocked: a concurrent duplicate costs one extra
-        // rewrite search, and insertion is idempotent (same winner).
+        let _planning = self.planning.lock();
+        if let Some(plan) = self.memo_probe(q, &key, graph.stats()) {
+            return (plan, true);
+        }
         let stats = graph.stats();
         let opt = optimize_with_stats(&self.set, q, alphabet, &self.budget, stats);
         // Static analysis: certify the rewrite winner against the
@@ -595,14 +608,19 @@ impl<E> PlannedEngine<E> {
     ) -> (Arc<JoinPlan>, bool) {
         let sig = (crpq.signature(), src_bound, dst_bound);
         let key = memo_key(graph);
-        {
+        let probe = || {
             let memo = self.crpq_memo.lock();
-            if let Some(entries) = memo.get(&sig) {
-                if let Some((_, plan)) = entries.iter().find(|(k, _)| *k == key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (plan.clone(), true);
-                }
-            }
+            let (_, plan) = memo.get(&sig)?.iter().find(|(k, _)| *k == key)?;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            Some(plan.clone())
+        };
+        if let Some(plan) = probe() {
+            return (plan, true);
+        }
+        // Coalesce concurrent misses, as in `plan_status`.
+        let _planning = self.planning.lock();
+        if let Some(plan) = probe() {
+            return (plan, true);
         }
         let plan = Arc::new(plan_join(
             crpq,

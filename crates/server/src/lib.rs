@@ -17,15 +17,19 @@
 //!   never blocked — compaction is copy-on-write, so a reader pinned to an
 //!   old epoch finishes undisturbed on the old base.
 //! * [`Server`] / [`Session`] / [`QueryHandle`] — the submission API. A
-//!   session pins an epoch; [`Session::submit`] runs the query on a worker
-//!   thread through the shared [`rpq_optimizer::PlannedEngine`] (one plan
-//!   memo and one `ScratchPool` across all workers), with per-query fetch
-//!   budgets, cooperative cancellation, and admission control
-//!   ([`SubmitError::Rejected`] above [`ServerConfig::max_concurrent`]).
+//!   session pins an epoch; [`Session::submit`] queues the query on the
+//!   server's query pool — [`ServerConfig::parallelism`] persistent
+//!   workers, with [`QueryHandle::join`] running a still-queued query on
+//!   the caller (no OS thread per query) — through the shared
+//!   [`rpq_optimizer::PlannedEngine`] (one plan memo and one `ScratchPool`
+//!   across all threads), with per-query fetch budgets, cooperative
+//!   cancellation, and admission control ([`SubmitError::Rejected`]
+//!   above [`ServerConfig::max_concurrent`]).
 //!   Queries enter as text via [`Session::submit_text`]
 //!   (`parse("a.(b+c)*")` → constraints → analyze → plan → eval).
 //! * [`Metrics`] — per-[`QueryClass`] latency percentiles (p50/p99 over a
-//!   sliding window), `edges_scanned`, termination and rejection counts,
+//!   sliding window), queue wait, `edges_scanned`, termination and
+//!   rejection counts,
 //!   parallel-evaluation telemetry (`threads_peak`, `steal_count`,
 //!   `parallel_levels`, scratch-pool alloc/reuse counters), plus the
 //!   push/pull level telemetry that drives the **live** pull-discount
@@ -77,6 +81,7 @@
 
 pub mod catalog;
 pub mod metrics;
+mod pool;
 pub mod session;
 
 pub use catalog::{Catalog, Commit, MAX_RETAINED_EPOCHS};
@@ -225,6 +230,141 @@ mod tests {
         drain(&server);
         assert!(session.submit(&q, req.with_cancel(cancel)).is_ok());
         drain(&server);
+    }
+
+    /// `busy_workload` on a one-worker query pool with room for more
+    /// submissions than workers.
+    fn one_worker_busy_workload() -> (Server, Query, EvalRequest) {
+        let (server, q, req) = busy_workload();
+        let server = server.with_config(ServerConfig {
+            max_concurrent: 64,
+            parallelism: 1,
+            ..ServerConfig::default()
+        });
+        (server, q, req)
+    }
+
+    /// Wait (bounded) until a pool worker has claimed `h`.
+    fn await_claim(h: &QueryHandle) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while !h.is_claimed() {
+            assert!(std::time::Instant::now() < deadline, "never claimed");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn joined_query_runs_on_the_caller_behind_a_busy_worker() {
+        let (server, q, req) = one_worker_busy_workload();
+        assert_eq!(server.pool_threads(), 0, "workers start on first submit");
+        let session = server.session();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let long = session.submit(&q, req.with_cancel(cancel)).unwrap();
+        await_claim(&long);
+        assert_eq!(server.pool_threads(), 1);
+        // The only worker is busy until `long` is cancelled, so this join
+        // can only complete by running the query itself.
+        let short = server.parse("a").unwrap();
+        let resp = session
+            .submit(&short, EvalRequest::source(Oid(0)))
+            .unwrap()
+            .join();
+        assert_eq!(resp.termination, Termination::Complete);
+        assert_eq!(resp.nodes().unwrap().len(), 1);
+        assert!(!long.is_finished(), "the short query finished first");
+        long.cancel();
+        assert_eq!(long.join().termination, Termination::Cancelled);
+        assert_eq!(server.active_queries(), 0);
+    }
+
+    #[test]
+    fn panicking_task_is_reraised_by_join_and_the_pool_survives() {
+        let (ab, catalog, nodes) = workload();
+        let server = Server::new(catalog, ab).with_config(ServerConfig {
+            parallelism: 1,
+            ..ServerConfig::default()
+        });
+        let session = server.session();
+        for _ in 0..4 {
+            let h = session
+                .spawn(
+                    EvalRequest::source(nodes[0]),
+                    QueryClass::Single,
+                    |_, _, _| panic!("injected query panic"),
+                )
+                .unwrap();
+            let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.join()));
+            let payload = joined.expect_err("join re-raises the task's panic");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"injected query panic")
+            );
+            assert_eq!(server.active_queries(), 0, "the slot was released");
+        }
+        // Panicked tasks record nothing; the worker still serves queries,
+        // detached ones included.
+        assert_eq!(server.metrics().class(QueryClass::Single).queries, 0);
+        let q = server.parse("a").unwrap();
+        drop(session.submit(&q, EvalRequest::source(nodes[0])).unwrap());
+        drain(&server);
+        let resp = session
+            .submit(&q, EvalRequest::source(nodes[0]))
+            .unwrap()
+            .join();
+        assert_eq!(resp.termination, Termination::Complete);
+        assert_eq!(server.metrics().class(QueryClass::Single).queries, 2);
+    }
+
+    #[test]
+    fn submit_join_rounds_start_no_thread_per_query() {
+        let (ab, catalog, nodes) = workload();
+        let server = Server::new(catalog, ab).with_config(ServerConfig {
+            parallelism: 2,
+            ..ServerConfig::default()
+        });
+        let session = server.session();
+        let q = server.parse("a.a*").unwrap();
+        for i in 0..256 {
+            let resp = session
+                .submit(&q, EvalRequest::source(nodes[i % nodes.len()]))
+                .unwrap()
+                .join();
+            assert!(resp.termination.is_complete());
+        }
+        assert!(server.pool_threads() <= 2, "{}", server.pool_threads());
+        assert_eq!(server.metrics().class(QueryClass::Single).queries, 256);
+    }
+
+    #[test]
+    fn dropping_the_server_runs_every_queued_detached_task() {
+        let (server, q, req) = one_worker_busy_workload();
+        let metrics = server.metrics().clone();
+        let session = server.session();
+        let cancel = Arc::new(AtomicBool::new(false));
+        // Hold the only worker so the detached queries stay queued.
+        let long = session.submit(&q, req.with_cancel(cancel.clone())).unwrap();
+        await_claim(&long);
+        let small = server.parse("a.a*").unwrap();
+        for i in 0..16 {
+            drop(session.submit(&small, EvalRequest::source(Oid(i))).unwrap());
+        }
+        assert_eq!(server.active_queries(), 17);
+        let held = std::time::Duration::from_millis(20);
+        std::thread::sleep(held);
+        drop(long);
+        cancel.store(true, Ordering::Relaxed);
+        drop(session);
+        drop(server);
+        let batch = metrics.class(QueryClass::Batch);
+        assert_eq!((batch.queries, batch.cancelled), (1, 1), "the held query");
+        let single = metrics.class(QueryClass::Single);
+        assert_eq!(single.queries, 16, "every detached query ran");
+        assert_eq!(single.complete, 16);
+        // Each queued query waited at least as long as the worker was held.
+        let held_ns = held.as_nanos() as u64;
+        assert!(single.queue_wait_max_ns >= held_ns);
+        assert!(single.queue_wait_ns >= 16 * held_ns);
+        assert!(single.queue_wait_ns >= single.queue_wait_max_ns);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Per-query-class serving metrics: latency percentiles, work counters,
 //! termination outcomes, admission rejections.
 //!
-//! Every worker thread records into the shared [`Metrics`] after its
-//! evaluation finishes; [`Metrics::class`] folds a class's window into a
-//! [`ClassSnapshot`] on demand. Latencies are kept in a bounded sliding
+//! Every evaluation records into the shared [`Metrics`] after it
+//! finishes, on whichever thread ran it; submitted queries also record
+//! their queue wait (submission to start of evaluation).
+//! [`Metrics::class`] folds a class's window into a [`ClassSnapshot`] on
+//! demand. Latencies are kept in a bounded sliding
 //! window per class (last [`LATENCY_WINDOW`] queries), so a long-lived
 //! server's percentiles track *recent* behavior and memory stays flat.
 //!
@@ -111,6 +113,8 @@ struct ClassAgg {
     threads_peak: usize,
     steal_count: usize,
     parallel_levels: usize,
+    queue_wait_ns: u64,
+    queue_wait_max_ns: u64,
     latencies_ns: VecDeque<u64>,
 }
 
@@ -149,6 +153,13 @@ pub struct ClassSnapshot {
     /// Total BFS levels (or wave fan-outs) expanded with more than one
     /// worker thread.
     pub parallel_levels: usize,
+    /// Total queue wait of the class's submitted queries, nanoseconds:
+    /// from submission to the start of evaluation, on whichever thread
+    /// (pool worker or joining client) ran it. Synchronous
+    /// `Session::run` calls add nothing.
+    pub queue_wait_ns: u64,
+    /// Longest single queue wait of the class, nanoseconds.
+    pub queue_wait_max_ns: u64,
     /// Median latency over the sliding window, nanoseconds (0 when empty).
     pub p50_latency_ns: u64,
     /// 99th-percentile latency over the sliding window, nanoseconds.
@@ -169,6 +180,10 @@ pub struct Metrics {
     scratch_allocs: AtomicUsize,
     /// Latest observed [`rpq_core::ScratchPool`] warm-checkout count.
     scratch_reuses: AtomicUsize,
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -193,8 +208,24 @@ impl Metrics {
         stats: &EvalStats,
         termination: Termination,
     ) {
+        self.record_queued(class, Duration::ZERO, latency, stats, termination);
+    }
+
+    /// Record one finished submitted query that waited `queue_wait`
+    /// between submission and the start of its evaluation.
+    pub fn record_queued(
+        &self,
+        class: QueryClass,
+        queue_wait: Duration,
+        latency: Duration,
+        stats: &EvalStats,
+        termination: Termination,
+    ) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
+        let wait_ns = nanos(queue_wait);
         let mut agg = self.classes[class.index()].lock();
+        agg.queue_wait_ns = agg.queue_wait_ns.saturating_add(wait_ns);
+        agg.queue_wait_max_ns = agg.queue_wait_max_ns.max(wait_ns);
         agg.queries += 1;
         agg.edges_scanned += stats.edges_scanned;
         agg.answers += stats.answers;
@@ -213,8 +244,7 @@ impl Metrics {
         if agg.latencies_ns.len() == LATENCY_WINDOW {
             agg.latencies_ns.pop_front();
         }
-        agg.latencies_ns
-            .push_back(latency.as_nanos().min(u64::MAX as u128) as u64);
+        agg.latencies_ns.push_back(nanos(latency));
     }
 
     /// Count one admission rejection.
@@ -247,6 +277,8 @@ impl Metrics {
             threads_peak: agg.threads_peak,
             steal_count: agg.steal_count,
             parallel_levels: agg.parallel_levels,
+            queue_wait_ns: agg.queue_wait_ns,
+            queue_wait_max_ns: agg.queue_wait_max_ns,
             p50_latency_ns: percentile(&window, 0.50),
             p99_latency_ns: percentile(&window, 0.99),
         }

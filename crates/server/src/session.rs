@@ -2,11 +2,22 @@
 //! surface of the serving layer.
 //!
 //! A [`Session`] pins one [`Catalog`] epoch; every query it submits
-//! evaluates against that pinned snapshot on a worker thread, through the
-//! shared [`PlannedEngine`] (one plan memo, one `ScratchPool`, reused
-//! across all workers). [`Session::refresh`] re-pins to the latest
-//! published epoch; the old snapshot lives on until its last handle
-//! finishes.
+//! evaluates against that pinned snapshot through the shared
+//! [`PlannedEngine`] (one plan memo, one `ScratchPool`, reused across all
+//! threads). [`Session::refresh`] re-pins to the latest published epoch;
+//! the old snapshot lives on until its last handle finishes.
+//!
+//! Submitted queries run on the server's **query pool**: a fixed set of
+//! [`ServerConfig::parallelism`] persistent worker threads fed by one
+//! queue, started by the first submission — no OS thread is started per
+//! query. A query is queued, then
+//! run by whichever thread claims it first: a pool worker, or the client
+//! itself in [`QueryHandle::join`] when no worker has picked it up yet
+//! (caller-runs), so a joined query never waits behind a busy worker.
+//! The time from submission to the start of evaluation is recorded per
+//! class as the queue wait ([`crate::ClassSnapshot::queue_wait_ns`]).
+//! Dropping the [`Server`] drains the queue — detached queries still run
+//! and record their metrics — and joins the workers.
 //!
 //! A query enters as **text** ([`Session::submit_text`]) or as a prebuilt
 //! [`Query`] + [`EvalRequest`] ([`Session::submit`]); either way it flows
@@ -14,9 +25,10 @@
 //! entry point is the unified request form
 //! ([`PlannedEngine::run_view`]).
 //!
-//! Admission control counts **running workers** (submitted, evaluation not
-//! yet finished) against [`ServerConfig::max_concurrent`]: the worker owns
-//! its slot, so dropping a handle does not free it early. A submission over
+//! Admission control counts **unfinished submissions** (queued or
+//! evaluating) against [`ServerConfig::max_concurrent`]: the task owns its
+//! slot until its evaluation ends, on whichever thread runs it, so
+//! dropping a handle does not free it early. A submission over
 //! the cap is rejected synchronously with [`SubmitError::Rejected`],
 //! carrying the observed occupancy. The synchronous [`Session::run`] and
 //! [`Session::run_crpq`] evaluate on the caller's thread and take no slot. Every
@@ -24,12 +36,13 @@
 //! unless the request carries its own — the server's default fetch
 //! budget, so a runaway query terminates with
 //! [`rpq_core::Termination::BudgetExhausted`] instead of monopolizing a
-//! worker.
+//! worker. A panic inside a query is caught on the thread that ran it —
+//! the worker survives, the slot is released — and re-raised by
+//! [`QueryHandle::join`].
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -42,18 +55,21 @@ use rpq_optimizer::{parse_crpq, Crpq, PlannedEngine, PlannerConfig};
 
 use crate::catalog::Catalog;
 use crate::metrics::{Metrics, QueryClass};
+use crate::pool::{QueryPool, Task};
 
 /// Serving knobs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Admission cap: maximum submitted queries whose workers are still
+    /// Admission cap: maximum submitted queries that are still queued or
     /// evaluating. Submissions over the cap are rejected with
     /// [`SubmitError::Rejected`].
     pub max_concurrent: usize,
     /// Fetch budget stamped onto requests that do not carry their own
     /// (`None` = unlimited by default).
     pub default_budget: Option<usize>,
-    /// Intra-query parallelism ceiling: the engine's shared
+    /// Thread budget, used twice. It sizes the server's query pool
+    /// (`parallelism` persistent workers running submitted queries), and
+    /// it is the intra-query parallelism ceiling: the engine's shared
     /// [`rpq_core::WorkerPool`] holds `parallelism - 1` extra-worker
     /// permits, leased per query by estimated frontier size. `1` keeps
     /// every query on the fully sequential hot path. Defaults to the
@@ -76,7 +92,7 @@ impl Default for ServerConfig {
 pub enum SubmitError {
     /// Admission control: the server is at its concurrency cap.
     Rejected {
-        /// Running workers observed at rejection time.
+        /// Unfinished submissions observed at rejection time.
         active: usize,
         /// The configured cap.
         cap: usize,
@@ -104,9 +120,9 @@ impl From<ParseError> for SubmitError {
     }
 }
 
-/// Releases one admission slot when dropped: owned by the query's worker,
-/// so the slot frees when the evaluation ends (or the submission path
-/// unwound before the worker started).
+/// Releases one admission slot when dropped: owned by the query's task,
+/// so the slot frees when the evaluation ends on whichever thread ran it
+/// (or when the task body unwinds).
 struct AdmissionSlot(Arc<AtomicUsize>);
 
 impl Drop for AdmissionSlot {
@@ -125,6 +141,7 @@ pub struct Server {
     metrics: Arc<Metrics>,
     active: Arc<AtomicUsize>,
     config: ServerConfig,
+    pool: QueryPool,
 }
 
 /// How often the background calibration pass considers a pull-discount
@@ -135,8 +152,8 @@ const CALIBRATE_EVERY: usize = 256;
 /// [`CALIBRATE_EVERY`] recorded queries move the engine's **live** pull
 /// discount a bounded step toward [`Metrics::suggest_pull_discount`].
 ///
-/// Runs on whichever worker thread just recorded a query — there is no
-/// sleeper thread. The step is at most a quarter of the gap (and at least
+/// Runs on whichever thread just recorded a query — there is no sleeper
+/// thread. The step is at most a quarter of the gap (and at least
 /// one unit), so a burst of unrepresentative queries cannot yank the knob;
 /// in-flight queries are untouched because the engine reads the discount
 /// once per request.
@@ -162,6 +179,18 @@ fn calibrate_step(engine: &PlannedEngine<ProductEngine>, metrics: &Metrics) {
     engine.set_pull_discount((current + step).max(1) as usize);
 }
 
+/// The shared planner for a server whose thread budget is `parallelism`.
+fn planner(
+    set: &ConstraintSet,
+    alphabet: Alphabet,
+    parallelism: usize,
+) -> PlannedEngine<ProductEngine> {
+    PlannedEngine::new(ProductEngine, set.clone(), alphabet).with_config(PlannerConfig {
+        parallelism: parallelism.max(1),
+        ..PlannerConfig::default()
+    })
+}
+
 impl Server {
     /// A server over `catalog` with no path constraints.
     pub fn new(catalog: Arc<Catalog>, alphabet: Alphabet) -> Server {
@@ -176,37 +205,27 @@ impl Server {
         alphabet: Alphabet,
     ) -> Server {
         let config = ServerConfig::default();
-        let engine = PlannedEngine::new(ProductEngine, set.clone(), alphabet.clone()).with_config(
-            PlannerConfig {
-                parallelism: config.parallelism.max(1),
-                ..PlannerConfig::default()
-            },
-        );
         Server {
             catalog,
-            engine: Arc::new(engine),
+            engine: Arc::new(planner(&set, alphabet.clone(), config.parallelism)),
             set,
             alphabet: Mutex::new(alphabet),
             metrics: Arc::new(Metrics::new()),
             active: Arc::new(AtomicUsize::new(0)),
             config,
+            pool: QueryPool::new(config.parallelism),
         }
     }
 
     /// Replace the serving knobs. Rebuilds the shared planner so its
-    /// worker pool and scratch pool match `config.parallelism` (call this
-    /// before serving traffic — the old engine's plan memo is discarded).
+    /// worker pool and scratch pool match `config.parallelism`, and the
+    /// query pool with it (call this before serving traffic — the old
+    /// engine's plan memo is discarded).
     pub fn with_config(mut self, config: ServerConfig) -> Server {
         if config.parallelism != self.config.parallelism {
             let alphabet = self.alphabet.lock().clone();
-            self.engine = Arc::new(
-                PlannedEngine::new(ProductEngine, self.set.clone(), alphabet).with_config(
-                    PlannerConfig {
-                        parallelism: config.parallelism.max(1),
-                        ..PlannerConfig::default()
-                    },
-                ),
-            );
+            self.engine = Arc::new(planner(&self.set, alphabet, config.parallelism));
+            self.pool = QueryPool::new(config.parallelism);
         }
         self.config = config;
         self
@@ -232,7 +251,7 @@ impl Server {
     }
 
     /// The shared planner (plan memo + scratch pool, shared by every
-    /// worker thread).
+    /// thread that evaluates).
     pub fn engine(&self) -> &Arc<PlannedEngine<ProductEngine>> {
         &self.engine
     }
@@ -242,9 +261,15 @@ impl Server {
         &self.metrics
     }
 
-    /// Submitted queries whose workers are still evaluating, right now.
+    /// Submitted queries still queued or evaluating, right now.
     pub fn active_queries(&self) -> usize {
         self.active.load(Ordering::SeqCst)
+    }
+
+    /// Worker threads the query pool started.
+    #[cfg(test)]
+    pub(crate) fn pool_threads(&self) -> usize {
+        self.pool.threads()
     }
 
     /// Parse query text against the server's shared alphabet (labels are
@@ -346,8 +371,8 @@ impl Session<'_> {
         (req, cancel)
     }
 
-    /// Submit a parsed query. Returns a [`QueryHandle`] whose worker is
-    /// already running, or rejects synchronously (admission).
+    /// Submit a parsed query. Returns a [`QueryHandle`] for the queued
+    /// query, or rejects synchronously (admission).
     pub fn submit(&self, query: &Query, req: EvalRequest) -> Result<QueryHandle, SubmitError> {
         let class = QueryClass::of(&req.spec);
         let query = query.clone();
@@ -357,7 +382,7 @@ impl Session<'_> {
     }
 
     /// Submit a conjunctive query: same admission, budget, cancellation,
-    /// and metrics seams as [`Session::submit`], but the worker runs the
+    /// and metrics seams as [`Session::submit`], but the task runs the
     /// cost-based join planner and semijoin executor
     /// ([`PlannedEngine::run_crpq`]). The request's [`SourceSpec`]
     /// restricts the *head* variables (source forms the first, target
@@ -373,12 +398,12 @@ impl Session<'_> {
     }
 
     /// The shared submission path: take an admission slot (or reject),
-    /// stamp the controls, and start a worker that runs `eval` against the
-    /// pinned snapshot and records metrics. The worker owns the slot, so
-    /// it is released when the evaluation ends — not when the handle is
-    /// dropped, which would let a submit-then-drop loop run unbounded
-    /// workers.
-    fn spawn<F>(
+    /// stamp the controls, and queue a task on the query pool that runs
+    /// `eval` against the pinned snapshot and records metrics, queue wait
+    /// included. The task owns the slot, so it is released when the
+    /// evaluation ends — not when the handle is dropped, which would let a
+    /// submit-then-drop loop queue unbounded work.
+    pub(crate) fn spawn<F>(
         &self,
         req: EvalRequest,
         class: QueryClass,
@@ -395,16 +420,23 @@ impl Session<'_> {
         let epoch = snapshot.epoch();
         let engine = self.server.engine.clone();
         let metrics = self.server.metrics.clone();
-        let join = std::thread::spawn(move || {
+        let submitted = Instant::now();
+        let task = self.server.pool.submit(Box::new(move || {
             let _slot = slot;
             let start = Instant::now();
             let resp = eval(&engine, &snapshot, &req);
-            metrics.record(class, start.elapsed(), &resp.stats, resp.termination);
+            metrics.record_queued(
+                class,
+                start - submitted,
+                start.elapsed(),
+                &resp.stats,
+                resp.termination,
+            );
             maybe_calibrate(&engine, &metrics);
             resp
-        });
+        }));
         Ok(QueryHandle {
-            join,
+            task,
             cancel,
             class,
             epoch,
@@ -455,11 +487,11 @@ impl Session<'_> {
     }
 }
 
-/// A running (or finished) submitted query. Dropping it without joining
-/// detaches the worker: it still finishes, records metrics, and holds its
-/// admission slot until then.
+/// A submitted query: queued, running, or finished. Dropping it without
+/// joining detaches the query: a pool worker still runs it to completion,
+/// it records its metrics, and it holds its admission slot until then.
 pub struct QueryHandle {
-    join: JoinHandle<EvalResponse>,
+    task: Arc<Task>,
     cancel: Arc<AtomicBool>,
     class: QueryClass,
     epoch: Epoch,
@@ -476,16 +508,22 @@ impl fmt::Debug for QueryHandle {
 }
 
 impl QueryHandle {
-    /// Raise the cooperative cancellation flag. The worker stops at its
-    /// next BFS level boundary and returns the sound subset collected so
+    /// Raise the cooperative cancellation flag. The evaluation stops at its
+    /// next BFS level boundary (or at its first, if it has not started) and returns the sound subset collected so
     /// far with [`rpq_core::Termination::Cancelled`].
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Has the worker finished (successfully or not)?
+    /// Has the evaluation finished (successfully or not)?
     pub fn is_finished(&self) -> bool {
-        self.join.is_finished()
+        self.task.is_finished()
+    }
+
+    /// Has a thread claimed the query (it is running or finished)?
+    #[cfg(test)]
+    pub(crate) fn is_claimed(&self) -> bool {
+        self.task.is_claimed()
     }
 
     /// The metrics class this query is accounted under.
@@ -498,8 +536,13 @@ impl QueryHandle {
         self.epoch
     }
 
-    /// Block until the worker finishes and take its response.
+    /// Take the query's response: run it on this thread if no pool worker
+    /// has claimed it yet (caller-runs), otherwise block until the worker
+    /// finishes it. A panic inside the evaluation is re-raised here.
     pub fn join(self) -> EvalResponse {
-        self.join.join().expect("query worker panicked")
+        match self.task.join() {
+            Ok(resp) => resp,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
 }

@@ -6,11 +6,13 @@
 //! Token-level source invariants that `clippy` is not configured to
 //! enforce here:
 //!
-//! * **No panicking escapes in the hot-path crates** — `.unwrap()`,
-//!   `.expect(` and `panic!` are forbidden in `crates/core/src` and
-//!   `crates/graph/src` outside `#[cfg(test)]` items. These two crates
-//!   sit under every evaluation; a malformed input must degrade, not
-//!   abort the process (`debug_assert!` is the sanctioned tripwire).
+//! * **No panicking escapes in the hot-path and serving crates** —
+//!   `.unwrap()`, `.expect(` and `panic!` are forbidden in
+//!   `crates/core/src`, `crates/graph/src` and `crates/server/src`
+//!   outside `#[cfg(test)]` items. The first two sit under every
+//!   evaluation, the third is the serving boundary; a malformed input
+//!   must degrade, not abort the process (`debug_assert!` is the
+//!   sanctioned tripwire).
 //! * **Documented planner surface** — every `pub fn` in
 //!   `crates/optimizer/src` must carry a `///` doc comment, including
 //!   ones in private modules that `#![warn(missing_docs)]` cannot see.
@@ -54,7 +56,7 @@ fn main() -> ExitCode {
 }
 
 /// Crates whose non-test sources must not contain panicking escapes.
-const NO_PANIC_DIRS: &[&str] = &["crates/core/src", "crates/graph/src"];
+const NO_PANIC_DIRS: &[&str] = &["crates/core/src", "crates/graph/src", "crates/server/src"];
 /// Crate whose `pub fn`s must all be documented.
 const DOC_DIRS: &[&str] = &["crates/optimizer/src"];
 /// Forbidden tokens for the no-panic rule.
